@@ -75,6 +75,9 @@ class ModularGap:
     for the completed-square constant r.  Any attained value v has
     8aD v = D u^2 - v'^2 + r with (D/p) = -1, forcing v = s (mod p) to
     imply v = s (mod p^2); so the class of s + p modulo p^2 is empty.
+    verify_certificate proves the identity from F's values at six points
+    and re-checks each congruence; scanning a box of values is opt-in
+    (modular_box, default 0).
     """
 
     witness: NonResidueCertificate
@@ -218,14 +221,7 @@ def _witness_search(F: QuadPoly2, max_diagonal: int) -> Certificate:
         if probe < floor_beyond:
             # probe is missed by every scanned point and provably exceeded
             # by every unscanned one: a genuine gap.
-            box = gap_box_bound(F, probe)
-            for x in range(box + 1):
-                for y in range(box + 1):
-                    if F.evaluate(x, y) == probe:  # pragma: no cover - defensive
-                        raise SearchExhausted(
-                            f"inconsistent growth bound near value {probe}"
-                        )
-            return Gap(value=probe, box_bound=box)
+            return Gap(value=probe, box_bound=gap_box_bound(F, probe))
     raise SearchExhausted(
         f"no collision or certified gap within {max_diagonal} diagonals"
     )
@@ -239,18 +235,24 @@ def verify_certificate(
     F: QuadPoly2,
     certificate: Certificate,
     *,
-    modular_box: int = 200,
+    modular_box: int = 0,
 ) -> bool:
     """Re-check a certificate against F from scratch.
 
     Returns False (rather than raising) when the certificate does not
     hold for this polynomial, including certificates produced for a
-    different polynomial.
+    different polynomial.  A ModularGap is proved exactly; modular_box > 0
+    adds an opt-in spot check that no point of [0, modular_box]^2 lands
+    in the claimed-empty class.
     """
     try:
         return _verify(F, certificate, modular_box)
     except (PackpolyError, ValueError, OverflowError):
         return False
+
+
+# A polynomial of degree <= 2 in x, y that vanishes here is zero.
+_UNISOLVENT_POINTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _verify(F: QuadPoly2, certificate: Certificate, modular_box: int) -> bool:
@@ -295,6 +297,9 @@ def _verify(F: QuadPoly2, certificate: Certificate, modular_box: int) -> bool:
     if isinstance(certificate, ModularGap):
         witness, s = certificate.witness, certificate.s
         a = F.a
+        # a = d and c = e (mod 2) make every value of F an integer
+        if (a - F.d) % 2 or (F.c - F.e) % 2:
+            return False
         D = F.b * F.b - a * F.c
         if witness.D != D or witness.ell != 8 * a:
             return False
@@ -307,20 +312,29 @@ def _verify(F: QuadPoly2, certificate: Certificate, modular_box: int) -> bool:
             return False
         if not 0 <= s < p:
             return False
-        comp = square_completion(F)
-        if (8 * a * D * s - comp.r) % p != 0:
+        # 8aD F = D u^2 - v^2 + r as polynomials: both sides have degree 2,
+        # so agreeing on the six points with x + y <= 2 proves it.
+        lincross = F.b * F.d - a * F.e
+        r = lincross * lincross - D * F.d * F.d + 8 * a * D * F.f
+        for x, y in _UNISOLVENT_POINTS:
+            u = 2 * a * x + 2 * F.b * y + F.d
+            v = 2 * D * y + lincross
+            if 8 * a * D * F.evaluate(x, y) != D * u * u - v * v + r:
+                return False
+        if (8 * a * D * s - r) % p != 0:
             return False
         # the one attainable lift of s mod p^2 must not be the claimed class
-        s0 = comp.r * pow(8 * a * D % (p * p), -1, p * p) % (p * p)
+        s0 = r * pow(8 * a * D % (p * p), -1, p * p) % (p * p)
         if (s + p - s0) % (p * p) == 0:
             return False
-        # empirical re-check: no value over the test box falls in the class
-        target = (s + p) % (p * p)
-        mod = p * p
-        for x in range(modular_box + 1):
-            for y in range(modular_box + 1):
-                if (F.evaluate(x, y) - target) % mod == 0:
-                    return False
+        # opt-in spot check: no value over the test box falls in the class
+        if modular_box > 0:
+            target = (s + p) % (p * p)
+            mod = p * p
+            for x in range(modular_box + 1):
+                for y in range(modular_box + 1):
+                    if (F.evaluate(x, y) - target) % mod == 0:
+                        return False
         return True
 
     if isinstance(certificate, StructuralFail):

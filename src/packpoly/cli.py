@@ -27,6 +27,7 @@ from .classifier import (
 )
 from .errors import (
     BudgetExhausted,
+    FactorizationTooHard,
     FrontierNotClosed,
     PackpolyError,
     SearchExhausted,
@@ -44,7 +45,12 @@ from .quadratic import QuadPoly2, region_counts
 from .sector import SectorSpec, sector_evaluate, sector_unpack
 from .serialize import document_to_json, document_from_json, make_document, verify_document
 
-_INCONCLUSIVE = (BudgetExhausted, SearchExhausted, FrontierNotClosed)
+_INCONCLUSIVE = (
+    BudgetExhausted,
+    FactorizationTooHard,
+    FrontierNotClosed,
+    SearchExhausted,
+)
 
 
 def _human_certificate(cert: Certificate) -> str:

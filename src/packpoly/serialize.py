@@ -244,7 +244,7 @@ def document_from_json(text: str) -> tuple[Subject, Certificate]:
 
 
 def verify_document(
-    subject: Subject, cert: Certificate, *, modular_box: int = 200
+    subject: Subject, cert: Certificate, *, modular_box: int = 0
 ) -> bool:
     """Dispatch verification by subject type; mismatches are just False."""
     if isinstance(subject, QuadPoly2):

@@ -115,6 +115,7 @@ class TestSoundness:
     def test_every_emitted_certificate_verifies(self):
         for F in sweep(2):
             cert = classify(F)
+            assert verify_certificate(F, cert), (F, cert)
             assert verify_certificate(F, cert, modular_box=50), (F, cert)
 
     def test_all_refutation_kinds_appear(self):
@@ -167,6 +168,67 @@ class TestSoundness:
         assert not verify_certificate(F, CantorMatch(1))
         assert verify_certificate(C1, CantorMatch(1))
         assert not verify_certificate(C1, CantorMatch(2))
+
+
+def modular_gaps(bound):
+    for F in sweep(bound):
+        cert = classify(F)
+        if isinstance(cert, ModularGap):
+            yield F, cert
+
+
+def class_hit(F, cert, box):
+    """A point of [0, box]^2 whose value lies in the claimed-empty class."""
+    p, s = cert.witness.p, cert.s
+    for x in range(box + 1):
+        for y in range(box + 1):
+            if (F.evaluate(x, y) - s - p) % (p * p) == 0:
+                return (x, y)
+    return None
+
+
+def shifted(F, index, delta):
+    coeffs = list(F.as_tuple())
+    coeffs[index] += delta
+    return QuadPoly2(*coeffs)
+
+
+class TestModularGapProof:
+    def test_constant_and_parity_mutations_are_rejected(self):
+        for F, cert in modular_gaps(2):
+            for index, delta in ((5, 1), (5, -1), (3, 1), (3, -1)):
+                G = shifted(F, index, delta)
+                assert not verify_certificate(G, cert), (G, cert)
+
+    def test_linear_mutations_are_rejected_unless_the_claim_still_holds(self):
+        # d +- 2 and e +- 2 keep D and 8a, so the witness still matches; a
+        # scan of the mutant is the oracle for whether the claim is false.
+        rejected = 0
+        for F, cert in modular_gaps(2):
+            for index, delta in ((3, 2), (3, -2), (4, 2), (4, -2)):
+                G = shifted(F, index, delta)
+                if verify_certificate(G, cert):
+                    assert class_hit(G, cert, 40) is None, (G, cert)
+                else:
+                    rejected += 1
+        assert rejected > 700
+
+    def test_huge_certificate_needs_six_evaluations(self, monkeypatch):
+        big = 10**2999
+        F = QuadPoly2(1, 0, 1, 3 * big + 1, 7 * big + 3, 5 * big)
+        cert = classify(F)
+        assert isinstance(cert, ModularGap)
+        calls = []
+        original = QuadPoly2.evaluate
+
+        def counting(self, x, y):
+            calls.append((x, y))
+            return original(self, x, y)
+
+        monkeypatch.setattr(QuadPoly2, "evaluate", counting)
+        assert verify_certificate(F, cert)
+        assert len(calls) <= 6
+        assert not verify_certificate(shifted(F, 5, 1), cert)
 
 
 class TestLinearRefutation:

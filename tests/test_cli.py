@@ -2,17 +2,26 @@
 
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from packpoly import cantor1, cantor2, pack_m
 from packpoly.cli import cli_dispatch
 
+# Without an installed console script, run the package from this checkout.
 PACKPOLY = shutil.which("packpoly")
+COMMAND = [PACKPOLY] if PACKPOLY else [sys.executable, "-m", "packpoly"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+PROC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(capsys, *argv):
@@ -23,7 +32,7 @@ def run_cli(capsys, *argv):
 
 def run_proc(*argv, stdin=None):
     proc = subprocess.run(
-        [PACKPOLY, *argv], capture_output=True, text=True, input=stdin
+        [*COMMAND, *argv], capture_output=True, text=True, input=stdin, env=PROC_ENV
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -103,6 +112,14 @@ class TestClassifyCommand:
     def test_wrong_arity_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "1", "1", "1")
         assert code == 2
+
+    def test_factorization_budget_is_inconclusive(self, capsys):
+        # D = -1000003 * 1000033 has no prime factor below the trial bound
+        code, out, err = run_cli(
+            capsys, "classify", "1000003", "0", "1000033", "1", "1", "0"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("inconclusive:")
 
 
 class TestCertificatePipeline:
@@ -298,7 +315,6 @@ class TestUsageSurface:
         assert run_cli(capsys, "pack2", "four", "2")[0] == 2
 
 
-@pytest.mark.skipif(PACKPOLY is None, reason="console script not on PATH")
 class TestInstalledExecutable:
     def test_round_trip(self):
         code, out, _ = run_proc("pack2", "--variant", "c2", "90", "7")
@@ -333,6 +349,7 @@ class TestInstalledExecutable:
             [sys.executable, "-m", "packpoly", "pack2", "90", "7"],
             capture_output=True,
             text=True,
+            env=PROC_ENV,
         )
         assert proc.returncode == 0
         code, out, _ = run_proc("pack2", "90", "7")
