@@ -89,7 +89,6 @@ from .quadratic import (
 )
 from .sector import (
     SectorSpec,
-    SectorUnpacker,
     sector_F,
     sector_G,
     sector_column_points,

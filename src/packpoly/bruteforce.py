@@ -138,9 +138,9 @@ def _sector_prefix_outside_min(
     """
     prefix = sector_enumerate(spec, count)
     if not prefix:
-        return sector_tail_min(spec, which, 0)
+        return sector_tail_min(spec, 0)
     x_cut, y_cut = prefix[-1]
-    bound = sector_tail_min(spec, which, x_cut + 1)
+    bound = sector_tail_min(spec, x_cut + 1)
     for x, y in sector_column_points(spec, x_cut):
         if y > y_cut:
             bound = min(bound, sector_evaluate(spec, which, x, y))

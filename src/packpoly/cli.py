@@ -10,6 +10,7 @@ never dressed up as an answer).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -251,6 +252,7 @@ def _cmd_region_counts(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="packpoly",

@@ -10,22 +10,28 @@ it, here called the lower and upper polynomials:
 with d = (s - 1)/r.  Membership tests use the cross-multiplied integer
 inequality throughout; nothing here touches rationals or floats.
 
-No closed-form inverse is provided: unpacking is a bounded search that
-grows the explored region until a growth bound certifies the target
-value cannot occur further out.
+Both polynomials have a closed-form inverse.  Write q = x - dy.  The
+sector points with a given q are exactly those with 0 <= y <= r*q, and
+on that segment
+
+    lower = B(q) + y,    upper = B(q) + r*q - y,
+
+with B(q) = r*q(q - 1)/2 + q.  Since B(q + 1) = B(q) + r*q + 1, the
+segments cover 0, 1, 2, ... exactly once, so unpacking n finds the
+segment with an integer square root and reads y off the offset
+n - B(q), for n of any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Iterable, Iterator, Literal
+from math import gcd, isqrt
+from typing import Iterator, Literal
 
 from .errors import (
     InvalidSectorSpec,
     NotInSector,
     OddNumerator,
-    SearchExhausted,
     SectorDivisibilityError,
 )
 
@@ -131,12 +137,13 @@ def sector_enumerate(spec: SectorSpec, count: int) -> list[SectorPoint]:
 
 
 def _segment_base(spec: SectorSpec, q: int) -> int:
-    # q(rq + 2 - r)/2 = rq(q-1)/2 + q: a provable lower bound for both
-    # polynomials over the sector points with x - dy = q.
+    # B(q) = q(rq + 2 - r)/2 = rq(q-1)/2 + q: the least value of both
+    # polynomials over the sector points with x - dy = q, whose values
+    # fill [B(q), B(q) + rq].
     return spec.r * q * (q - 1) // 2 + q
 
 
-def sector_tail_min(spec: SectorSpec, which: WhichPolynomial, x_from: int) -> int:
+def sector_tail_min(spec: SectorSpec, x_from: int) -> int:
     """Proven lower bound over all sector points with x >= x_from.
 
     Writing q = x - dy, every sector point satisfies x <= s*q (from
@@ -148,65 +155,25 @@ def sector_tail_min(spec: SectorSpec, which: WhichPolynomial, x_from: int) -> in
     so on fixed q both are at least q(rq + 2 - r)/2, a nondecreasing
     function of q >= 0; and x >= x_from forces q >= ceil(x_from / s).
     """
-    if which not in ("F", "G"):
-        raise ValueError(f"which must be 'F' or 'G', got {which!r}")
     q_min = max(0, -(-x_from // spec.s))
     return _segment_base(spec, q_min)
 
 
-class SectorUnpacker:
-    """Incremental inverse-by-search for one sector polynomial.
-
-    Explores columns in enumeration order, recording each value, until a
-    growth bound certifies the requested value cannot appear in any
-    unexplored column.  The explored table is kept between calls, so a
-    batch of unpack requests costs one sweep of the region covering the
-    largest of them.
-    """
-
-    def __init__(
-        self,
-        spec: SectorSpec,
-        which: WhichPolynomial,
-        max_columns: int = 10**6,
-    ) -> None:
-        if which not in ("F", "G"):
-            raise ValueError(f"which must be 'F' or 'G', got {which!r}")
-        self.spec = spec
-        self.which = which
-        self.max_columns = max_columns
-        self._table: dict[int, SectorPoint] = {}
-        self._next_x = 0
-
-    def _extend_to_cover(self, n: int) -> None:
-        while sector_tail_min(self.spec, self.which, self._next_x) <= n:
-            if self._next_x >= self.max_columns:
-                raise SearchExhausted(
-                    f"value {n} not located within {self.max_columns} columns"
-                )
-            for x, y in sector_column_points(self.spec, self._next_x):
-                self._table.setdefault(
-                    sector_evaluate(self.spec, self.which, x, y), (x, y)
-                )
-            self._next_x += 1
-
-    def unpack(self, n: int) -> SectorPoint:
-        if n < 0:
-            raise ValueError(f"target value must be nonnegative, got {n}")
-        self._extend_to_cover(n)
-        try:
-            return self._table[n]
-        except KeyError:
-            # The frontier is closed, so the value occurs nowhere: a gap.
-            # Valid specs never have gaps, making this an internal
-            # consistency alarm rather than a user error.
-            raise SearchExhausted(
-                f"no sector point maps to {n} although the frontier bound "
-                f"{sector_tail_min(self.spec, self.which, self._next_x)} "
-                "exceeds it; packing property violated"
-            ) from None
-
-
 def sector_unpack(spec: SectorSpec, which: WhichPolynomial, n: int) -> SectorPoint:
-    """The unique sector point mapping to n under the chosen polynomial."""
-    return SectorUnpacker(spec, which).unpack(n)
+    """The unique sector point mapping to n under the chosen polynomial.
+
+    n lies on the segment q with B(q) <= n < B(q + 1), B as in the
+    module docstring; its offset n - B(q) is y for the lower polynomial
+    and r*q - y for the upper one.
+    """
+    if which not in ("F", "G"):
+        raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+    if n < 0:
+        raise ValueError(f"target value must be nonnegative, got {n}")
+    r = spec.r
+    # B(q) <= n iff (2rq + 2 - r)^2 <= (2 - r)^2 + 8rn, and 2rq + 2 - r >= 0
+    # for q >= 1; math.isqrt is exact, so this floor is the largest such q.
+    q = (isqrt((2 - r) ** 2 + 8 * r * n) - (2 - r)) // (2 * r)
+    offset = n - _segment_base(spec, q)
+    y = offset if which == "F" else r * q - offset
+    return q + spec.d * y, y

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from packpoly import cantor1, cantor2, pack_m
-from packpoly.cli import cli_dispatch
+from packpoly.cli import _build_parser, cli_dispatch
 
 # Without an installed console script, run the package from this checkout.
 PACKPOLY = shutil.which("packpoly")
@@ -230,6 +230,18 @@ class TestSectorCommands:
         assert lines[0].startswith("F: injective")
         assert lines[1].startswith("G: injective")
 
+    def test_unpack_at_any_size(self, capsys):
+        n = "7" * 600
+        code, out, _ = run_cli(
+            capsys, "sector", "unpack", "--r", "3", "--s", "7", "--variant", "g", n
+        )
+        assert code == 0
+        x, y = out.split()
+        code, out, _ = run_cli(
+            capsys, "sector", "pack", "--r", "3", "--s", "7", "--variant", "g", x, y
+        )
+        assert (code, out.strip()) == (0, n)
+
     def test_verify_single_variant(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -313,6 +325,26 @@ class TestUsageSurface:
 
     def test_non_integer_token(self, capsys):
         assert run_cli(capsys, "pack2", "four", "2")[0] == 2
+
+    def test_cached_parser_carries_no_state(self, capsys):
+        # the parser is built once per process; no call may see another's options
+        calls = [
+            ("classify", "--json", "1", "0", "1", "1", "1", "0"),
+            ("classify", "1", "0", "1", "1", "1", "0"),
+            ("classify", "1", "1", "1"),
+            ("--help",),
+            ("sector", "unpack", "--r", "2", "--s", "3", "--variant", "g", "11"),
+        ]
+        alone = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            alone.append(run_cli(capsys, *argv))
+        _build_parser.cache_clear()
+        in_sequence = [run_cli(capsys, *argv) for argv in calls]
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [1, 1, 2, 0, 0]
+        assert alone[1][1].startswith("ModularGap\n")
+        assert alone[4][1] == "7 4\n"
 
 
 class TestInstalledExecutable:

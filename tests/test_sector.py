@@ -8,10 +8,8 @@ import pytest
 from packpoly import (
     InvalidSectorSpec,
     NotInSector,
-    SearchExhausted,
     SectorDivisibilityError,
     SectorSpec,
-    SectorUnpacker,
     sector_contains,
     sector_column_points,
     sector_enumerate,
@@ -21,8 +19,16 @@ from packpoly import (
     sector_tail_min,
     sector_unpack,
 )
+from packpoly import sector as sector_module
 
 ACCEPTED_SPECS = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (3, 4)]
+# slopes with r >= 3 and d >= 2, which ACCEPTED_SPECS lacks
+UNPACK_SPECS = ACCEPTED_SPECS + [(3, 7), (4, 9), (5, 11)]
+
+
+def segment_base(r, q):
+    """Least value on the segment x - dy = q, whose values fill [B, B + rq]."""
+    return r * q * (q - 1) // 2 + q
 
 
 def numerator_coeffs(spec, which):
@@ -174,7 +180,7 @@ class TestTailMin:
         for which in ("F", "G"):
             values = [(x, sector_evaluate(spec, which, x, y)) for x, y in pts]
             for x_from in range(0, 40):
-                bound = sector_tail_min(spec, which, x_from)
+                bound = sector_tail_min(spec, x_from)
                 observed = min(v for x, v in values if x >= x_from)
                 assert bound <= observed
 
@@ -182,16 +188,17 @@ class TestTailMin:
         spec = SectorSpec(2, 5)
         prev = -1
         for x_from in range(0, 500):
-            b = sector_tail_min(spec, "F", x_from)
+            b = sector_tail_min(spec, x_from)
             assert b >= prev
             prev = b
-        assert sector_tail_min(spec, "F", 10**6) > 10**10
+        assert sector_tail_min(spec, 10**6) > 10**10
 
     def test_bound_is_reasonably_tight(self):
-        # the bound must eventually grow quadratically or unpack stalls
+        # the bound must eventually grow quadratically or the frontier of
+        # verify_sector_packing stalls
         spec = SectorSpec(1, 2)
         x = 1000
-        assert sector_tail_min(spec, "F", x) > (x // 2) ** 2 // 4
+        assert sector_tail_min(spec, x) > (x // 2) ** 2 // 4
 
 
 class TestUnpack:
@@ -201,15 +208,50 @@ class TestUnpack:
         assert sector_unpack(spec, "F", 2) == (2, 1)
         assert sector_unpack(spec, "F", 5) == (4, 2)
 
-    @pytest.mark.parametrize("r,s", ACCEPTED_SPECS)
+    @pytest.mark.parametrize("r,s", UNPACK_SPECS)
     def test_round_trip_on_prefix(self, r, s):
         spec = SectorSpec(r, s)
         pts = sector_enumerate(spec, 3000)
         for which in ("F", "G"):
-            unpacker = SectorUnpacker(spec, which)
             for p in pts:
                 n = sector_evaluate(spec, which, *p)
-                assert unpacker.unpack(n) == p
+                assert sector_unpack(spec, which, n) == p
+
+    @pytest.mark.parametrize("r,s", UNPACK_SPECS)
+    def test_segment_edges(self, r, s):
+        # B(q) - 1 ends segment q - 1, B(q) starts segment q and
+        # B(q) + rq ends it; an off-by-one in the square root shows here
+        spec = SectorSpec(r, s)
+        qs = list(range(1, 300)) + [10**k + j for k in range(3, 7) for j in (-1, 0, 1)]
+        for which in ("F", "G"):
+            for q in qs:
+                base = segment_base(r, q)
+                for n, seg in ((base - 1, q - 1), (base, q), (base + r * q, q)):
+                    x, y = sector_unpack(spec, which, n)
+                    assert sector_contains(spec, x, y)
+                    assert x - spec.d * y == seg
+                    assert sector_evaluate(spec, which, x, y) == n
+
+    @pytest.mark.parametrize("r,s", UNPACK_SPECS)
+    def test_six_hundred_digit_value(self, r, s):
+        spec = SectorSpec(r, s)
+        n = 10**599 + random.Random(r * 100 + s).randrange(10**599)
+        for which in ("F", "G"):
+            x, y = sector_unpack(spec, which, n)
+            assert sector_evaluate(spec, which, x, y) == n
+
+    def test_no_point_is_evaluated(self, monkeypatch):
+        spec = SectorSpec(3, 7)
+        point = (10**40 + 7, 10**39)
+        values = {which: sector_evaluate(spec, which, *point) for which in ("F", "G")}
+
+        def forbidden(*args):
+            raise AssertionError("sector_unpack must not search")
+
+        monkeypatch.setattr(sector_module, "sector_column_points", forbidden)
+        monkeypatch.setattr(sector_module, "sector_evaluate", forbidden)
+        for which, n in values.items():
+            assert sector_unpack(spec, which, n) == point
 
     def test_moderately_large_value(self):
         spec = SectorSpec(1, 2)
@@ -219,10 +261,6 @@ class TestUnpack:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             sector_unpack(SectorSpec(1, 2), "F", -1)
-
-    def test_column_cap_reported(self):
-        with pytest.raises(SearchExhausted):
-            SectorUnpacker(SectorSpec(1, 2), "F", max_columns=3).unpack(10**6)
 
 
 class TestBijectivityPrefix:
@@ -235,7 +273,7 @@ class TestBijectivityPrefix:
         for which in ("F", "G"):
             values = {sector_evaluate(spec, which, *p) for p in pts}
             assert len(values) == 3000  # injective on the prefix
-            frontier = sector_tail_min(spec, which, last[0] + 1)
+            frontier = sector_tail_min(spec, last[0] + 1)
             for p in leftover:  # cut column remainder is outside too
                 frontier = min(frontier, sector_evaluate(spec, which, *p))
             covered = set(range(frontier))
