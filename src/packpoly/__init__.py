@@ -83,7 +83,6 @@ from .quadratic import (
     is_positive_definite_on_quadrant,
     quadrant_outside_min,
     region_counts,
-    region_counts_bruteforce,
     square_completion,
     validate,
 )
@@ -91,7 +90,6 @@ from .sector import (
     SectorSpec,
     sector_F,
     sector_G,
-    sector_column_points,
     sector_contains,
     sector_enumerate,
     sector_evaluate,

@@ -5,6 +5,10 @@ gaps.  Both are checkable on a finite region once something certifies
 that every point outside the region takes values beyond the range under
 inspection; that certificate is the frontier bound, and the verdict
 records which bound made the check conclusive.
+
+verify_packing_bruteforce takes the region as the points it holds and the
+frontier as a number; verify_quadratic_packing and verify_sector_packing
+compute both for the quadrant and for sectors.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .quadratic import (
 from .sector import (
     SectorSpec,
     WhichPolynomial,
-    sector_column_points,
     sector_enumerate,
     sector_evaluate,
     sector_tail_min,
@@ -55,24 +58,21 @@ class PackingVerdict:
 
 def verify_packing_bruteforce(
     evaluator: Callable[[PointM], int],
-    domain_enumerator: Callable[[int], Iterable[PointM]],
-    box_bound: int,
+    points: Iterable[PointM],
     value_bound: int,
-    outside_lower_bound: Callable[[int], int],
+    frontier: int,
 ) -> PackingVerdict:
     """Check injectivity and gap-freeness over an enumerated region.
 
-    domain_enumerator(box_bound) must yield every domain point of the
-    region, each exactly once, and outside_lower_bound(box_bound) must
-    return a proven lower bound for the evaluator on every domain point
-    it does not yield.  When that bound fails to clear value_bound the
-    check is inconclusive and FrontierNotClosed is raised: a larger
-    region (or smaller value range) is needed, and silence would be
-    indistinguishable from confirmation.
+    points must hold every domain point of the region, each exactly
+    once, and frontier must be a proven lower bound for the evaluator on
+    every domain point outside it.  When frontier fails to clear
+    value_bound the check is inconclusive and FrontierNotClosed is
+    raised: a larger region (or smaller value range) is needed, and
+    silence would be indistinguishable from confirmation.
     """
     if value_bound < 0:
         raise ValueError(f"value bound must be nonnegative, got {value_bound}")
-    frontier = outside_lower_bound(box_bound)
     if frontier <= value_bound:
         raise FrontierNotClosed(
             f"outside lower bound {frontier} does not exceed value bound "
@@ -80,7 +80,7 @@ def verify_packing_bruteforce(
         )
     seen: dict[int, PointM] = {}
     collision: Optional[Collision] = None
-    for pt in domain_enumerator(box_bound):
+    for pt in points:
         v = evaluator(pt)
         if collision is None and v in seen:
             collision = Collision(p1=seen[v], p2=pt, value=v)
@@ -119,32 +119,11 @@ def verify_quadratic_packing(
     if not is_positive_definite_on_quadrant(F):
         raise ValueError(f"{F} has no quadrant-positive quadratic part")
     return verify_packing_bruteforce(
-        evaluator=lambda pt: F.evaluate(*pt),
-        domain_enumerator=quadrant_box_points,
-        box_bound=box_bound,
-        value_bound=value_bound,
-        outside_lower_bound=lambda B: quadrant_outside_min(F, B),
+        lambda pt: F.evaluate(*pt),
+        quadrant_box_points(box_bound),
+        value_bound,
+        quadrant_outside_min(F, box_bound),
     )
-
-
-def _sector_prefix_outside_min(
-    spec: SectorSpec, which: WhichPolynomial, count: int
-) -> int:
-    """Proven lower bound beyond the first `count` enumerated sector points.
-
-    The prefix may cut a column mid-way; the rest of that column is
-    finite and evaluated exactly, and the growth bound covers all later
-    columns.
-    """
-    prefix = sector_enumerate(spec, count)
-    if not prefix:
-        return sector_tail_min(spec, 0)
-    x_cut, y_cut = prefix[-1]
-    bound = sector_tail_min(spec, x_cut + 1)
-    for x, y in sector_column_points(spec, x_cut):
-        if y > y_cut:
-            bound = min(bound, sector_evaluate(spec, which, x, y))
-    return bound
 
 
 def verify_sector_packing(
@@ -155,16 +134,27 @@ def verify_sector_packing(
     The value range is chosen as large as the frontier bound allows, so
     a clean verdict means the prefix attains every value the whole
     sector can place below that bound, each exactly once.
+
+    The prefix ends at some point (x, y) of column x.  Columns beyond x
+    are covered by sector_tail_min.  The rest of column x, if any, is
+    covered by its top point (x, floor(r x / s)): both polynomials are
+    non-increasing in y on a column.  A step y -> y + 1 moves q = x - dy
+    down by d >= 1, so the segment base B(q) (see the sector module)
+    drops by B(q) - B(q - d) >= d, while the offset along the segment,
+    y for the lower polynomial and rq - y for the upper, rises by at
+    most one.
     """
     if min_points < 1:
         raise ValueError(f"need at least one point, got {min_points}")
-    frontier = _sector_prefix_outside_min(spec, which, min_points)
+    points = sector_enumerate(spec, min_points)
+    x_cut, y_cut = points[-1]
+    top = spec.r * x_cut // spec.s
+    frontier = sector_tail_min(spec, x_cut + 1)
+    if y_cut < top:
+        frontier = min(frontier, sector_evaluate(spec, which, x_cut, top))
     return verify_packing_bruteforce(
-        evaluator=lambda pt: sector_evaluate(spec, which, *pt),
-        domain_enumerator=lambda count: sector_enumerate(spec, count),
-        box_bound=min_points,
-        value_bound=frontier - 1,
-        outside_lower_bound=lambda count: _sector_prefix_outside_min(
-            spec, which, count
-        ),
+        lambda pt: sector_evaluate(spec, which, *pt),
+        points,
+        frontier - 1,
+        frontier,
     )

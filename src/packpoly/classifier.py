@@ -282,14 +282,14 @@ def _verify(F: QuadPoly2, certificate: Certificate, modular_box: int) -> bool:
         # growth beyond the box: every outside point has x + y > box
         if diagonal_tail_min(F, box + 1) <= g:
             return False
-        # boundary lines just outside the box clear g (implied, re-checked)
-        edge = box + 1
-        for t in range(edge + 1):
-            if F.evaluate(edge, t) <= g or F.evaluate(t, edge) <= g:
-                return False
-        # the box itself misses g
-        for x in range(box + 1):
-            for y in range(box + 1):
+        # growth already clears g beyond the least such box, so only that
+        # part of the claimed box is scanned, whatever size it claims
+        inner = gap_box_bound(F, g)
+        if diagonal_tail_min(F, inner + 1) <= g:
+            return False
+        inner = min(box, inner)
+        for x in range(inner + 1):
+            for y in range(inner + 1):
                 if F.evaluate(x, y) == g:
                     return False
         return True

@@ -214,27 +214,12 @@ class SquareCompletion:
     u(x, y) = 2a x + 2b y + d and v(y) = 2D y + (bd - ae), with
     D = b^2 - ac and r = (bd - ae)^2 - D d^2 + 8aDf.  The identity holds
     as polynomials in x and y for every integer a..f, including the
-    degenerate cases a = 0 and D = 0.
+    degenerate cases a = 0 and D = 0.  Only D and r are kept: they are
+    all the modular refutation reads.
     """
 
     D: int
     r: int
-    u_x: int
-    u_y: int
-    u_0: int
-    v_y: int
-    v_0: int
-
-    def u(self, x: int, y: int) -> int:
-        return self.u_x * x + self.u_y * y + self.u_0
-
-    def v(self, y: int) -> int:
-        return self.v_y * y + self.v_0
-
-    def identity_rhs(self, x: int, y: int) -> int:
-        uu = self.u(x, y)
-        vv = self.v(y)
-        return self.D * uu * uu - vv * vv + self.r
 
 
 def square_completion(F: QuadPoly2) -> SquareCompletion:
@@ -242,9 +227,7 @@ def square_completion(F: QuadPoly2) -> SquareCompletion:
     D = b * b - a * c
     lincross = b * d - a * e
     r = lincross * lincross - D * d * d + 8 * a * D * f
-    return SquareCompletion(
-        D=D, r=r, u_x=2 * a, u_y=2 * b, u_0=d, v_y=2 * D, v_0=lincross
-    )
+    return SquareCompletion(D=D, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +269,6 @@ def region_counts(m: int) -> RegionCounts:
         n4=(99 * m * m + 9 * m) // 2,
         n5=2 * m * m,
     )
-
-
-def region_counts_bruteforce(m: int) -> RegionCounts:
-    """The same five counts by direct iteration over the column bounds."""
-    if m < 2:
-        raise InvalidM(f"scale must be at least 2, got {m}")
-    n1 = sum(len(range(0, 25 * m)) for _x in range(0, m))
-    n2 = sum(len(range(0, 24 * m - x)) for x in range(m, 10 * m))
-    n3 = sum(len(range(0, 10 * m)) for _x in range(10 * m, 14 * m))
-    n4 = sum(len(range(0, 24 * m - x)) for x in range(14 * m, 23 * m))
-    n5 = sum(len(range(0, m)) for _x in range(23 * m, 25 * m))
-    return RegionCounts(m=m, n1=n1, n2=n2, n3=n3, n4=n4, n5=n5)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Iterator, Literal
+from typing import Literal
 
 from .errors import (
     InvalidSectorSpec,
@@ -110,29 +110,16 @@ def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) ->
     raise ValueError(f"which must be 'F' or 'G', got {which!r}")
 
 
-def sector_column_points(spec: SectorSpec, x: int) -> list[SectorPoint]:
-    """Sector points with first coordinate x, ascending y."""
-    if x < 0:
-        return []
-    return [(x, y) for y in range(spec.r * x // spec.s + 1)]
-
-
-def _columns(spec: SectorSpec) -> Iterator[SectorPoint]:
-    x = 0
-    while True:
-        yield from sector_column_points(spec, x)
-        x += 1
-
-
 def sector_enumerate(spec: SectorSpec, count: int) -> list[SectorPoint]:
     """The first `count` sector points, ascending x then ascending y."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     points: list[SectorPoint] = []
-    for pt in _columns(spec):
-        if len(points) == count:
-            break
-        points.append(pt)
+    x = 0
+    while len(points) < count:
+        height = min(spec.r * x // spec.s + 1, count - len(points))
+        points.extend((x, y) for y in range(height))
+        x += 1
     return points
 
 

@@ -1,6 +1,7 @@
 """Decision pipeline: frozen certificates, soundness sweeps, and the linear refuter."""
 
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,8 @@ from packpoly import (
     SearchExhausted,
     StructuralFail,
     classify,
+    diagonal_tail_min,
+    gap_box_bound,
     legendre,
     refute_linear,
     search_quadratics,
@@ -229,6 +232,44 @@ class TestModularGapProof:
         assert verify_certificate(F, cert)
         assert len(calls) <= 6
         assert not verify_certificate(shifted(F, 5, 1), cert)
+
+
+class TestGapBox:
+    H = QuadPoly2(1, 1, 1, 1, 3, 1)
+
+    def test_claimed_box_size_does_not_set_the_cost(self):
+        cert = classify(self.H)
+        assert cert == Gap(0, gap_box_bound(self.H, 0))
+        start = time.perf_counter()
+        assert verify_certificate(self.H, Gap(0, 10**9))
+        assert time.perf_counter() - start < 1.0
+
+    def test_box_below_the_least_box_is_rejected(self):
+        least = gap_box_bound(self.H, 0)
+        assert least > 0
+        for box in range(least):
+            assert not verify_certificate(self.H, Gap(0, box)), box
+        assert verify_certificate(self.H, Gap(0, least))
+
+    def test_acceptance_matches_a_full_box_scan(self):
+        # a Gap holds iff growth clears g beyond the box and no point of
+        # the whole box attains g
+        checked = 0
+        for F in sweep(2):
+            cert = classify(F)
+            if not isinstance(cert, Gap):
+                continue
+            for g in (cert.value, cert.value + 1, cert.value + 3):
+                least = gap_box_bound(F, g)
+                for box in range(max(0, least - 2), least + 4):
+                    holds = diagonal_tail_min(F, box + 1) > g and all(
+                        F.evaluate(x, y) != g
+                        for x in range(box + 1)
+                        for y in range(box + 1)
+                    )
+                    assert verify_certificate(F, Gap(g, box)) == holds, (F, g, box)
+                    checked += 1
+        assert checked > 300
 
 
 class TestLinearRefutation:

@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,34 @@ class TestCertificatePipeline:
         assert "cannot read" in err
 
 
+class TestGapBoxCommand:
+    @staticmethod
+    def gap_document(box):
+        return json.dumps({
+            "certificate": {"box_bound": str(box), "kind": "gap", "value": "0"},
+            "format": "packing-certificate",
+            "subject": {
+                "coefficients": dict(zip("abcdef", ["1", "1", "1", "1", "3", "1"])),
+                "kind": "quadratic",
+            },
+            "version": 1,
+        })
+
+    def test_huge_claimed_box_verifies_fast(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.gap_document(10**9)))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify-cert", "-")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "valid\n")
+
+    def test_box_below_the_least_box_is_rejected(self, capsys, monkeypatch):
+        # 5 is the least box beyond which (1, 1, 1, 1, 3, 1) provably exceeds 0
+        for box, expected in ((4, 1), (5, 0)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(self.gap_document(box)))
+            code, _, _ = run_cli(capsys, "verify-cert", "-")
+            assert code == expected, box
+
+
 class TestLinearCommand:
     def test_refutation_prints_collision_and_exits_one(self, capsys):
         code, out, _ = run_cli(
@@ -188,7 +217,40 @@ class TestLinearCommand:
         assert code == 2
 
 
+# `sector verify` frontier bounds of F and G, recorded from the CLI, for
+# --points 3000 and --points 500; covered_upto is one below each.
+SECTOR_VERIFY_GOLDEN = {
+    (1, 2): ((1539, 1485), (253, 253)),
+    (1, 3): ((1034, 990), (171, 171)),
+    (1, 4): ((779, 741), (136, 136)),
+    (1, 5): ((629, 595), (105, 105)),
+    (1, 6): ((527, 496), (91, 91)),
+    (2, 3): ((1024, 1024), (169, 169)),
+    (2, 5): ((625, 625), (100, 100)),
+    (3, 4): ((782, 782), (144, 117)),
+    (3, 7): ((425, 425), (70, 70)),
+    (4, 9): ((325, 325), (66, 66)),
+    (5, 11): ((286, 286), (55, 55)),
+    (4, 13): ((231, 231), (45, 45)),
+}
+
+
 class TestSectorCommands:
+    @pytest.mark.parametrize("points", [3000, 500])
+    @pytest.mark.parametrize("r,s", list(SECTOR_VERIFY_GOLDEN))
+    def test_verify_output_is_pinned(self, capsys, r, s, points):
+        frontiers = SECTOR_VERIFY_GOLDEN[(r, s)][0 if points == 3000 else 1]
+        expected = "".join(
+            f"{label}: injective, every value in [0, {bound - 1}] attained "
+            f"exactly once (frontier bound {bound})\n"
+            for label, bound in zip("FG", frontiers)
+        )
+        code, out, _ = run_cli(
+            capsys, "sector", "verify", "--r", str(r), "--s", str(s),
+            "--points", str(points),
+        )
+        assert (code, out) == (0, expected)
+
     def test_pack_and_unpack_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "sector", "pack", "--r", "1", "--s", "2", "4", "2"

@@ -1,6 +1,7 @@
 """Finite-prefix packing verification: frontier logic, verdicts, adapters."""
 
 import pytest
+from oracles import sector_prefix_frontier
 
 from packpoly import (
     FrontierNotClosed,
@@ -13,19 +14,23 @@ from packpoly import (
     verify_quadratic_packing,
     verify_sector_packing,
 )
+from packpoly import bruteforce as bruteforce_module
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
 C2 = QuadPoly2(1, 1, 1, 3, 1, 0)
+SLOPES = [
+    (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+    (2, 5), (3, 4), (3, 7), (4, 9), (5, 11), (4, 13),
+]
 
 
 class TestGenericHarness:
     def test_identity_map_packs(self):
         verdict = verify_packing_bruteforce(
             evaluator=lambda pt: pt[0],
-            domain_enumerator=lambda B: [(i,) for i in range(B + 1)],
-            box_bound=50,
+            points=[(i,) for i in range(51)],
             value_bound=50,
-            outside_lower_bound=lambda B: B + 1,
+            frontier=51,
         )
         assert verdict.is_packing_prefix
         assert verdict.covered_upto == 50
@@ -35,10 +40,9 @@ class TestGenericHarness:
         B = 30
         verdict = verify_packing_bruteforce(
             evaluator=lambda pt: 2 * pt[0],
-            domain_enumerator=lambda B: [(i,) for i in range(B + 1)],
-            box_bound=B,
+            points=[(i,) for i in range(B + 1)],
             value_bound=2 * B + 1,
-            outside_lower_bound=lambda B: 2 * B + 2,
+            frontier=2 * B + 2,
         )
         assert verdict.injective_on_box
         assert verdict.gaps == tuple(range(1, 2 * B + 2, 2))
@@ -47,10 +51,9 @@ class TestGenericHarness:
     def test_first_collision_is_kept(self):
         verdict = verify_packing_bruteforce(
             evaluator=lambda pt: 7,
-            domain_enumerator=lambda B: [(0,), (1,), (2,)],
-            box_bound=2,
+            points=[(0,), (1,), (2,)],
             value_bound=7,
-            outside_lower_bound=lambda B: 8,
+            frontier=8,
         )
         assert not verdict.injective_on_box
         assert verdict.collision.p1 == (0,)
@@ -61,20 +64,18 @@ class TestGenericHarness:
         with pytest.raises(FrontierNotClosed):
             verify_packing_bruteforce(
                 evaluator=lambda pt: pt[0],
-                domain_enumerator=lambda B: [(i,) for i in range(B + 1)],
-                box_bound=10,
+                points=[(i,) for i in range(11)],
                 value_bound=11,
-                outside_lower_bound=lambda B: B + 1,
+                frontier=11,
             )
 
     def test_negative_value_bound_rejected(self):
         with pytest.raises(ValueError):
             verify_packing_bruteforce(
                 evaluator=lambda pt: pt[0],
-                domain_enumerator=lambda B: [],
-                box_bound=0,
+                points=[],
                 value_bound=-1,
-                outside_lower_bound=lambda B: 1,
+                frontier=1,
             )
 
 
@@ -146,3 +147,38 @@ class TestSectorPacking:
     def test_point_budget_validated(self):
         with pytest.raises(ValueError):
             verify_sector_packing(SectorSpec(1, 2), "F", min_points=0)
+
+    @pytest.mark.parametrize("r,s", SLOPES)
+    def test_frontier_matches_column_scan(self, r, s):
+        spec = SectorSpec(r, s)
+        for which in ("F", "G"):
+            for count in [*range(1, 401), 3000]:
+                verdict = verify_sector_packing(spec, which, count)
+                frontier = sector_prefix_frontier(spec, which, count)
+                assert verdict.frontier_bound_used == frontier, (which, count)
+                assert verdict.covered_upto == frontier - 1
+                assert verdict.is_packing_prefix
+
+    @pytest.mark.parametrize("r,s", SLOPES)
+    def test_prefix_is_enumerated_once(self, r, s, monkeypatch):
+        calls = {"sector_enumerate": 0, "sector_evaluate": 0}
+
+        def counted(name):
+            original = getattr(bruteforce_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bruteforce_module, name, counted(name))
+        spec = SectorSpec(r, s)
+        for which in ("F", "G"):
+            for count in (1, 2, 3, 10, 57, 500, 3000):
+                for name in calls:
+                    calls[name] = 0
+                verify_sector_packing(spec, which, count)
+                assert calls["sector_enumerate"] == 1
+                assert count <= calls["sector_evaluate"] <= count + 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import region_counts_bruteforce
 
 from packpoly import (
     CANTOR1,
@@ -17,7 +18,6 @@ from packpoly import (
     is_positive_definite_on_quadrant,
     quadrant_outside_min,
     region_counts,
-    region_counts_bruteforce,
     square_completion,
     validate,
 )
@@ -162,23 +162,33 @@ class TestQuadrantPositivity:
                         assert doubled <= 0
 
 
+def completed_square(F, x, y):
+    """(u, v, D u^2 - v^2 + r) at (x, y), with u = 2ax + 2by + d and
+    v = 2Dy + (bd - ae) built from F's coefficients."""
+    comp = square_completion(F)
+    u = 2 * F.a * x + 2 * F.b * y + F.d
+    v = 2 * comp.D * y + (F.b * F.d - F.a * F.e)
+    return u, v, comp.D * u * u - v * v + comp.r
+
+
 class TestSquareCompletion:
     def test_degenerate_discriminant_example(self):
         comp = square_completion(CANTOR1)
         assert comp.D == 0
-        assert comp.v(0) == -2 and comp.v_y == 0
+        assert completed_square(CANTOR1, 0, 0)[1] == -2
+        assert completed_square(CANTOR1, 0, 7)[1] == -2  # v has no y term
         assert comp.r == 4
         for x in range(5):
             for y in range(5):
-                assert comp.identity_rhs(x, y) == 0
+                assert completed_square(CANTOR1, x, y)[2] == 0
 
     def test_negative_discriminant_example(self):
         F = QuadPoly2(1, 0, 1, 1, 1, 0)
         comp = square_completion(F)
         assert comp.D == -1 and comp.r == 2
-        assert comp.u(1, 1) == 3 and comp.v(1) == -3
+        assert completed_square(F, 1, 1)[:2] == (3, -3)
         assert 8 * F.a * comp.D * F.evaluate(1, 1) == -16
-        assert comp.identity_rhs(1, 1) == -16
+        assert completed_square(F, 1, 1)[2] == -16
 
     @given(small_coeff, small_coeff, small_coeff, small_coeff, small_coeff,
            small_coeff, small_point, small_point)
@@ -186,7 +196,7 @@ class TestSquareCompletion:
         F = QuadPoly2(a, b, c, d, e, f)
         comp = square_completion(F)
         lhs = 8 * F.a * comp.D * F.doubled_value(x, y)  # 16 a D F(x,y)
-        assert lhs == 2 * comp.identity_rhs(x, y)
+        assert lhs == 2 * completed_square(F, x, y)[2]
 
     def test_identity_with_zero_leading_term(self):
         rng = random.Random(3)
@@ -195,7 +205,7 @@ class TestSquareCompletion:
                           rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             comp = square_completion(F)
             x, y = rng.randint(0, 100), rng.randint(0, 100)
-            assert 8 * F.a * comp.D * F.doubled_value(x, y) == 2 * comp.identity_rhs(x, y)
+            assert 8 * F.a * comp.D * F.doubled_value(x, y) == 2 * completed_square(F, x, y)[2]
 
     def test_identity_with_zero_discriminant(self):
         rng = random.Random(4)
@@ -209,7 +219,7 @@ class TestSquareCompletion:
             comp = square_completion(F)
             assert comp.D == 0
             x, y = rng.randint(0, 100), rng.randint(0, 100)
-            assert comp.identity_rhs(x, y) == 0
+            assert completed_square(F, x, y)[2] == 0
 
 
 class TestRegionCounts:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from oracles import sector_column
 
 from packpoly import (
     InvalidSectorSpec,
@@ -11,7 +12,6 @@ from packpoly import (
     SectorDivisibilityError,
     SectorSpec,
     sector_contains,
-    sector_column_points,
     sector_enumerate,
     sector_evaluate,
     sector_F,
@@ -162,14 +162,15 @@ class TestEnumeration:
         last = pts[-1]
         full = []
         for x in range(last[0] + 1):
-            full.extend(sector_column_points(spec, x))
+            full.extend(sector_column(spec, x))
         expected = [p for p in full if p <= last]
         assert pts == expected
 
     def test_column_contents(self):
-        spec = SectorSpec(2, 3)
-        assert sector_column_points(spec, 0) == [(0, 0)]
-        assert sector_column_points(spec, 3) == [(3, 0), (3, 1), (3, 2)]
+        # columns 0, 1, 2, 3 of slope 2/3 hold 1, 1, 2 and 3 points
+        assert sector_enumerate(SectorSpec(2, 3), 7) == [
+            (0, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+        ]
 
 
 class TestTailMin:
@@ -248,7 +249,7 @@ class TestUnpack:
         def forbidden(*args):
             raise AssertionError("sector_unpack must not search")
 
-        monkeypatch.setattr(sector_module, "sector_column_points", forbidden)
+        monkeypatch.setattr(sector_module, "sector_enumerate", forbidden)
         monkeypatch.setattr(sector_module, "sector_evaluate", forbidden)
         for which, n in values.items():
             assert sector_unpack(spec, which, n) == point
@@ -269,7 +270,7 @@ class TestBijectivityPrefix:
         spec = SectorSpec(r, s)
         pts = sector_enumerate(spec, 3000)
         last = pts[-1]
-        leftover = [p for p in sector_column_points(spec, last[0]) if p > last]
+        leftover = [p for p in sector_column(spec, last[0]) if p > last]
         for which in ("F", "G"):
             values = {sector_evaluate(spec, which, *p) for p in pts}
             assert len(values) == 3000  # injective on the prefix
