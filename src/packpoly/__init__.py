@@ -77,7 +77,6 @@ from .quadratic import (
     RegionCounts,
     SquareCompletion,
     ValidationCheck,
-    ValidationReport,
     diagonal_tail_min,
     gap_box_bound,
     is_positive_definite_on_quadrant,

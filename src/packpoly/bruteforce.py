@@ -18,12 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from .classifier import Collision
 from .errors import FrontierNotClosed
-from .quadratic import (
-    QuadPoly2,
-    is_positive_definite_on_quadrant,
-    quadrant_outside_min,
-    validate,
-)
+from .quadratic import QuadPoly2, quadrant_outside_min, validate
 from .sector import (
     SectorSpec,
     WhichPolynomial,
@@ -114,10 +109,9 @@ def verify_quadratic_packing(
     need the structural conditions and quadrant positivity; candidates
     failing those are refuted by classify, not checked here.
     """
-    if not validate(F).ok:
-        raise ValueError(f"{F} fails structural validation")
-    if not is_positive_definite_on_quadrant(F):
-        raise ValueError(f"{F} has no quadrant-positive quadratic part")
+    failures = validate(F)
+    if failures:
+        raise ValueError(f"{F} fails {failures[0].name}")
     return verify_packing_bruteforce(
         lambda pt: F.evaluate(*pt),
         quadrant_box_points(box_bound),

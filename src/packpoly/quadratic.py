@@ -67,32 +67,18 @@ CANTOR2 = QuadPoly2(1, 1, 1, 3, 1, 0)
 
 @dataclass(frozen=True)
 class ValidationCheck:
-    """One structural condition, with the identity that forces it.
+    """One failed structural condition, with the identity that forces it.
 
     identity is human-readable documentation; witness (when present) is a
-    lattice point realizing the failure and doubled_value is 2 F (or twice
-    the quadratic part) there, so re-checking never divides by two.
+    lattice point realizing the failure and doubled_value is 2 F there
+    (twice the quadratic part, for positive_definite_on_quadrant), so
+    re-checking never divides by two.
     """
 
     name: str
-    passed: bool
     identity: str
     witness: Point2 | None = None
     doubled_value: int | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    poly: QuadPoly2
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
 
 def _doubling_scan_negative(F: QuadPoly2, direction: Point2) -> Point2:
@@ -109,68 +95,73 @@ def _doubling_scan_negative(F: QuadPoly2, direction: Point2) -> Point2:
         t *= 2
 
 
-def validate(F: QuadPoly2) -> ValidationReport:
-    """Check every condition a packing candidate must satisfy a priori.
+def _failed(
+    F: QuadPoly2, name: str, identity: str, witness: Point2 | None = None
+) -> ValidationCheck:
+    doubled = None if witness is None else F.doubled_value(*witness)
+    return ValidationCheck(name, identity, witness, doubled)
 
-    Each condition comes with the identity that derives it from values of
-    F alone, so a failure is a self-contained refutation.
+
+def validate(F: QuadPoly2) -> tuple[ValidationCheck, ...]:
+    """The a-priori conditions F fails, in a fixed order; empty if none.
+
+    Each failure comes with the identity that derives it from values of
+    F alone, so it is a self-contained refutation; identities are only
+    formatted for failures.  Positivity of the quadratic part on the
+    quadrant is checked last, and only when every other condition holds.
     """
-    checks: list[ValidationCheck] = []
-
-    def add(name: str, passed: bool, identity: str, witness: Point2 | None = None) -> None:
-        doubled = F.doubled_value(*witness) if witness is not None else None
-        checks.append(ValidationCheck(name, passed, identity, witness, doubled))
-
     a, b, c, d, e, f = F.as_tuple()
-
-    witness = None if a >= 0 else _doubling_scan_negative(F, (1, 0))
-    add(
-        "a_nonnegative",
-        a >= 0,
-        f"a = F(2,0) - 2F(1,0) + F(0,0) = {a}; a < 0 makes F(x,0) negative for large x",
-        witness,
+    failures: list[ValidationCheck] = []
+    if a < 0:
+        failures.append(_failed(
+            F, "a_nonnegative",
+            f"a = F(2,0) - 2F(1,0) + F(0,0) = {a}; a < 0 makes F(x,0) negative for large x",
+            _doubling_scan_negative(F, (1, 0)),
+        ))
+    if c < 0:
+        failures.append(_failed(
+            F, "c_nonnegative",
+            f"c = F(0,2) - 2F(0,1) + F(0,0) = {c}; c < 0 makes F(0,y) negative for large y",
+            _doubling_scan_negative(F, (0, 1)),
+        ))
+    if f < 0:
+        failures.append(_failed(
+            F, "f_nonnegative", f"f = F(0,0) = {f} must lie in the range N0", (0, 0)
+        ))
+    if (a - d) % 2:
+        failures.append(_failed(
+            F, "a_d_parity",
+            f"F(1,0) - F(0,0) = (a + d)/2 with a = {a}, d = {d} must be an integer",
+            (1, 0),
+        ))
+    if (c - e) % 2:
+        failures.append(_failed(
+            F, "c_e_parity",
+            f"F(0,1) - F(0,0) = (c + e)/2 with c = {c}, e = {e} must be an integer",
+            (0, 1),
+        ))
+    if (a, b, c) == (0, 0, 0):
+        failures.append(_failed(
+            F, "quadratic_part_nonzero",
+            "a = b = c = 0 leaves an affine map, which packs no quadrant",
+        ))
+    if a == 0 and c == 0 and b < 1:
+        failures.append(_failed(
+            F, "cross_term_positive",
+            f"with a = c = 0, F(x,x) = b x^2 + ((d+e)/2) x + f >= 0 forces b >= 1 (b = {b})",
+            _doubling_scan_negative(F, (1, 1)) if b < 0 else None,
+        ))
+    if failures:
+        return tuple(failures)
+    found = definiteness_witness(F)
+    if found is None:
+        return ()
+    witness, doubled = found
+    identity = (
+        "the quadratic part must be positive on the quadrant "
+        f"minus the origin; twice its value at {witness} is {doubled}"
     )
-    witness = None if c >= 0 else _doubling_scan_negative(F, (0, 1))
-    add(
-        "c_nonnegative",
-        c >= 0,
-        f"c = F(0,2) - 2F(0,1) + F(0,0) = {c}; c < 0 makes F(0,y) negative for large y",
-        witness,
-    )
-    add(
-        "f_nonnegative",
-        f >= 0,
-        f"f = F(0,0) = {f} must lie in the range N0",
-        None if f >= 0 else (0, 0),
-    )
-    add(
-        "a_d_parity",
-        (a - d) % 2 == 0,
-        f"F(1,0) - F(0,0) = (a + d)/2 with a = {a}, d = {d} must be an integer",
-        None if (a - d) % 2 == 0 else (1, 0),
-    )
-    add(
-        "c_e_parity",
-        (c - e) % 2 == 0,
-        f"F(0,1) - F(0,0) = (c + e)/2 with c = {c}, e = {e} must be an integer",
-        None if (c - e) % 2 == 0 else (0, 1),
-    )
-    add(
-        "quadratic_part_nonzero",
-        (a, b, c) != (0, 0, 0),
-        "a = b = c = 0 leaves an affine map, which packs no quadrant",
-    )
-    cross_ok = not (a == 0 and c == 0 and b < 1)
-    witness = None
-    if not cross_ok and b < 0:
-        witness = _doubling_scan_negative(F, (1, 1))
-    add(
-        "cross_term_positive",
-        cross_ok,
-        f"with a = c = 0, F(x,x) = b x^2 + ((d+e)/2) x + f >= 0 forces b >= 1 (b = {b})",
-        witness,
-    )
-    return ValidationReport(poly=F, checks=tuple(checks))
+    return (ValidationCheck("positive_definite_on_quadrant", identity, witness, doubled),)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,6 @@ def decode_certificate(node: Any) -> Certificate:
             checks.append(
                 ValidationCheck(
                     name=name,
-                    passed=False,
                     identity=identity,
                     witness=point,  # type: ignore[arg-type]
                     doubled_value=(

@@ -4,7 +4,16 @@ Each oracle computes the same quantity the slow, direct way, and shares
 no code with what it checks, so the tests can compare the two.
 """
 
-from packpoly import RegionCounts, SectorSpec, sector_evaluate, sector_tail_min
+from packpoly import (
+    QuadPoly2,
+    RegionCounts,
+    SectorSpec,
+    diagonal_tail_min,
+    gap_box_bound,
+    sector_evaluate,
+    sector_tail_min,
+    validate,
+)
 from packpoly.errors import InvalidM
 
 
@@ -47,3 +56,20 @@ def sector_prefix_frontier(spec: SectorSpec, which: str, count: int) -> int:
         if y > y_cut:
             bound = min(bound, sector_evaluate(spec, which, x, y))
     return bound
+
+
+def gap_holds_by_scan(F: QuadPoly2, g: int, box: int) -> bool:
+    """Whether Gap(g, box) holds for F, by a scan of the box's points.
+
+    Growth must clear g beyond the box; inside, only [0, B*]^2 with
+    B* = gap_box_bound(F, g) can attain g, and every point of that part
+    of the box is evaluated.
+    """
+    if g < 0 or box < 0 or validate(F):
+        return False
+    if diagonal_tail_min(F, box + 1) <= g:
+        return False
+    inner = min(box, gap_box_bound(F, g))
+    return all(
+        F.evaluate(x, y) != g for x in range(inner + 1) for y in range(inner + 1)
+    )

@@ -1,9 +1,11 @@
 """Decision pipeline: frozen certificates, soundness sweeps, and the linear refuter."""
 
 import random
+import sys
 import time
 
 import pytest
+from oracles import gap_holds_by_scan
 
 from packpoly import (
     CantorMatch,
@@ -21,6 +23,7 @@ from packpoly import (
     legendre,
     refute_linear,
     search_quadratics,
+    validate,
     verify_certificate,
     verify_linear_collision,
 )
@@ -270,6 +273,70 @@ class TestGapBox:
                     assert verify_certificate(F, Gap(g, box)) == holds, (F, g, box)
                     checked += 1
         assert checked > 300
+
+
+def random_definite(rng):
+    """A random candidate that passes validate, positivity included."""
+    while True:
+        a, c = rng.randint(1, 5), rng.randint(1, 5)
+        d, e = a + 2 * rng.randint(-4, 4), c + 2 * rng.randint(-4, 4)
+        F = QuadPoly2(a, rng.randint(-4, 5), c, d, e, rng.randint(0, 6))
+        if not validate(F):
+            return F
+
+
+class TestGapColumns:
+    def test_column_solve_matches_the_scan(self):
+        rng = random.Random(1018)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2000):
+            F = random_definite(rng)
+            if rng.random() < 0.5:
+                g = F.evaluate(rng.randint(0, 6), rng.randint(0, 6))
+            else:
+                g = rng.randint(0, 80)
+            least = gap_box_bound(F, g)
+            box = rng.choice(
+                (0, max(0, least - 1), least, least + 3, rng.randint(0, 2 * least))
+            )
+            holds = gap_holds_by_scan(F, g, box)
+            assert verify_certificate(F, Gap(g, box)) == holds, (F, g, box)
+            outcomes[holds] += 1
+        assert min(outcomes.values()) > 300
+
+    def test_cost_follows_the_least_box_not_the_value(self, monkeypatch):
+        # F = (x + y)^2 + x + 3y takes only even values
+        F = QuadPoly2(2, 2, 2, 2, 6, 0)
+        g = 10**6 + 1
+        least = gap_box_bound(F, g)
+        calls = []
+        original = QuadPoly2.evaluate
+
+        def counting(self, x, y):
+            calls.append((x, y))
+            return original(self, x, y)
+
+        monkeypatch.setattr(QuadPoly2, "evaluate", counting)
+        assert verify_certificate(F, Gap(g, 10**9))
+        assert len(calls) <= 2 * least
+        assert F.evaluate(499, 500) == g - 1
+        assert not verify_certificate(F, Gap(g - 1, 10**9))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_classify_ignores_the_int_str_limit():
+    F = QuadPoly2(1, 0, 1, 1, 1, 10**4400 + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        cert = classify(F)
+        assert isinstance(cert, ModularGap)
+        assert (cert.witness.p, cert.s) == (11, 10)
+        assert verify_certificate(F, cert)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestLinearRefutation:

@@ -79,47 +79,67 @@ class TestEvaluation:
 class TestValidation:
     def test_both_packing_tuples_fully_pass(self):
         for F in (CANTOR1, CANTOR2):
-            report = validate(F)
-            assert report.ok
-            assert not report.failures
+            assert validate(F) == ()
 
     def test_parity_failure(self):
-        report = validate(QuadPoly2(1, 1, 1, 2, 3, 0))
-        names = {chk.name for chk in report.failures}
+        names = {chk.name for chk in validate(QuadPoly2(1, 1, 1, 2, 3, 0))}
         assert names == {"a_d_parity"}
 
     def test_cross_term_failure(self):
-        report = validate(QuadPoly2(0, -1, 0, 0, 0, 0))
-        names = {chk.name for chk in report.failures}
+        names = {chk.name for chk in validate(QuadPoly2(0, -1, 0, 0, 0, 0))}
         assert "cross_term_positive" in names
 
     def test_negative_leading_coefficient_carries_witness(self):
-        report = validate(QuadPoly2(-1, 0, 1, -1, 1, 0))
-        (chk,) = [c for c in report.failures if c.name == "a_nonnegative"]
         F = QuadPoly2(-1, 0, 1, -1, 1, 0)
+        (chk,) = [c for c in validate(F) if c.name == "a_nonnegative"]
         assert chk.witness is not None
         assert chk.doubled_value == F.doubled_value(*chk.witness)
         assert chk.doubled_value < 0
         assert chk.witness[1] == 0  # the witness lies on the x-axis
 
     def test_negative_constant_term(self):
-        report = validate(QuadPoly2(1, 1, 1, 1, 3, -1))
-        (chk,) = [c for c in report.failures if c.name == "f_nonnegative"]
+        (chk,) = [
+            c for c in validate(QuadPoly2(1, 1, 1, 1, 3, -1)) if c.name == "f_nonnegative"
+        ]
         assert chk.witness == (0, 0)
         assert chk.doubled_value == -2
 
     def test_zero_quadratic_part(self):
-        report = validate(QuadPoly2(0, 0, 0, 2, 4, 1))
-        names = {chk.name for chk in report.failures}
+        names = {chk.name for chk in validate(QuadPoly2(0, 0, 0, 2, 4, 1))}
         assert "quadratic_part_nonzero" in names
 
     def test_all_failures_witnesses_consistent(self):
         rng = random.Random(11)
+        positivity = 0
         for _ in range(500):
             F = QuadPoly2(*(rng.randint(-5, 5) for _ in range(6)))
-            for chk in validate(F).failures:
-                if chk.witness is not None and chk.doubled_value is not None:
+            for chk in validate(F):
+                if chk.witness is None or chk.doubled_value is None:
+                    continue
+                if chk.name == "positive_definite_on_quadrant":
+                    assert chk.doubled_value == F.quadratic_part_doubled(*chk.witness)
+                    assert chk.doubled_value <= 0 and chk.witness != (0, 0)
+                    positivity += 1
+                else:
                     assert chk.doubled_value == F.doubled_value(*chk.witness)
+        assert positivity > 0
+
+    def test_positivity_is_checked_last_and_alone(self):
+        # the structural failures hide an indefinite quadratic part; with
+        # them mended, positivity is the one failure left
+        assert [c.name for c in validate(QuadPoly2(1, -2, 1, 1, 0, 0))] == ["c_e_parity"]
+        (chk,) = validate(QuadPoly2(1, -2, 1, 1, 1, 0))
+        assert chk.name == "positive_definite_on_quadrant"
+        assert chk.witness == (1, 2) and chk.doubled_value == -3
+        for a in range(0, 4):
+            for b in range(-4, 5):
+                for c in range(0, 4):
+                    F = QuadPoly2(a, b, c, a, c, 0)
+                    if (a, b, c) == (0, 0, 0):
+                        continue
+                    if any(chk.name == "cross_term_positive" for chk in validate(F)):
+                        continue
+                    assert (validate(F) == ()) == is_positive_definite_on_quadrant(F)
 
 
 class TestQuadrantPositivity:

@@ -1,5 +1,7 @@
 """JSON documents: round trips, strict integer decoding, verification dispatch."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -73,7 +75,6 @@ class TestRoundTrip:
             failures=(
                 ValidationCheck(
                     name="f_nonnegative",
-                    passed=False,
                     identity="synthetic",
                     witness=None,
                     doubled_value=None,
@@ -147,3 +148,19 @@ class TestVerificationDispatch:
         node["certificate"]["s"] = "9"
         subject2, cert2 = document_from_json(json.dumps(node))
         assert not verify_document(subject2, cert2)
+
+
+class TestPinnedDocuments:
+    # SHA-256 of the concatenated documents.  The box yields every failure
+    # name classify can emit except nonnegative_range, so this pins the
+    # identity texts, which no other test reads.
+    SMALL_BOX = "f5efc78e6ab77e7b8a76373f86cdd065a0e148c0c05a5ef017c10244c41d1b7f"
+
+    def test_small_box_documents_are_byte_identical(self):
+        digest = hashlib.sha256()
+        for coeffs in itertools.product(range(-2, 3), repeat=6):
+            if coeffs[:3] == (0, 0, 0):
+                continue
+            F = QuadPoly2(*coeffs)
+            digest.update(document_to_json(F, classify(F)).encode())
+        assert digest.hexdigest() == self.SMALL_BOX
