@@ -41,6 +41,8 @@ from .quadratic import (
 
 Point2 = tuple[int, int]
 PointM = tuple[int, ...]
+# nonresidue_prime(D, ell, exceed=floor) by (D, ell, floor), for one search
+_WitnessPrimes = dict[tuple[int, int, int | None], NonResidueCertificate]
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,22 @@ def classify(
     coefficient match against the two Cantor tuples; bounded witness
     search (collision / gap / negative value) for everything else.
     """
+    return _classify(F, max_diagonal=max_diagonal, budget=budget, primes={})
+
+
+def _classify(
+    F: QuadPoly2,
+    *,
+    max_diagonal: int,
+    budget: int,
+    primes: _WitnessPrimes,
+) -> Certificate:
+    """classify(F), reusing the witness primes already found in `primes`.
+
+    `primes` maps (D, 8a, floor) to the result of nonresidue_prime(D, 8a,
+    exceed=floor); a caller that classifies many candidates shares one
+    dict across them, so each witness prime is constructed once.
+    """
     if (F.a, F.b, F.c) == (0, 0, 0):
         raise NotQuadratic("candidate has no quadratic part; use refute_linear")
 
@@ -132,7 +150,7 @@ def classify(
 
     D = F.b * F.b - F.a * F.c
     if is_square(D) is None:
-        return _modular_gap(F, D, budget)
+        return _modular_gap(F, D, budget, primes)
 
     if F.as_tuple() == CANTOR1.as_tuple():
         return CantorMatch(1)
@@ -144,20 +162,30 @@ def classify(
     return _witness_search(F, max_diagonal)
 
 
-def _modular_gap(F: QuadPoly2, D: int, budget: int) -> ModularGap:
+def _modular_gap(
+    F: QuadPoly2,
+    D: int,
+    budget: int,
+    primes: _WitnessPrimes,
+) -> ModularGap:
     ell = 8 * F.a  # a >= 1 past the definiteness stage, so ell != 0
-    comp = square_completion(F)
+    r = square_completion(F).r
     floor = None
     while True:
-        witness = nonresidue_prime(D, ell, budget=budget, exceed=floor)
+        key = (D, ell, floor)
+        witness = primes.get(key)
+        if witness is None:
+            witness = primes[key] = nonresidue_prime(
+                D, ell, budget=budget, exceed=floor
+            )
         p = witness.p
-        # p > 8a and (D/p) = -1 give gcd(8aD, p) = 1, so inverses exist.
-        s = comp.r * pow(8 * F.a * D % p, -1, p) % p
+        # p > 8a and (D/p) = -1 give gcd(8aD, p) = 1, so the inverse exists.
         # Attained values congruent to s mod p all fall in one class mod
-        # p^2, the lift s0 with 8aD s0 = r (mod p^2).  The certificate
-        # declares the class of s + p empty, so if s0 happens to be that
-        # very class, move on to the next witness prime.
-        s0 = comp.r * pow(8 * F.a * D % (p * p), -1, p * p) % (p * p)
+        # p^2, the lift s0 with 8aD s0 = r (mod p^2); s is s0 reduced mod p.
+        # The certificate declares the class of s + p empty, so if s0
+        # happens to be that very class, move on to the next witness prime.
+        s0 = r * pow(ell * D % (p * p), -1, p * p) % (p * p)
+        s = s0 % p
         if (s + p - s0) % (p * p) != 0:
             return ModularGap(witness=witness, s=s)
         floor = p
@@ -458,13 +486,17 @@ def search_quadratics(
     a, c, f in [0, coeff_bound] and b, d, e in [-coeff_bound, coeff_bound],
     classifies each, and independently brute-force-verifies every match
     (injective on [0, region_bound]^2 and gap-free up to value_bound)
-    before reporting it.  Results are sorted by coefficient tuple.
+    before reporting it.  Results are sorted by coefficient tuple.  Within
+    one call, candidates with the same D = b^2 - ac and a share their
+    ModularGap witness primes, each constructed once; nothing is kept
+    between calls.
     """
     from .bruteforce import verify_quadratic_packing
 
     if coeff_bound < 0:
         raise ValueError("coefficient bound must be nonnegative")
     B = coeff_bound
+    primes: _WitnessPrimes = {}
     confirmed: list[tuple[QuadPoly2, Certificate]] = []
     for a in range(0, B + 1):
         for b in range(-B, B + 1):
@@ -479,8 +511,11 @@ def search_quadratics(
                             continue
                         for f in range(0, B + 1):
                             F = QuadPoly2(a, b, c, d, e, f)
-                            cert = classify(
-                                F, max_diagonal=max_diagonal, budget=budget
+                            cert = _classify(
+                                F,
+                                max_diagonal=max_diagonal,
+                                budget=budget,
+                                primes=primes,
                             )
                             if not isinstance(cert, CantorMatch):
                                 continue

@@ -27,7 +27,9 @@ from packpoly import (
     verify_certificate,
     verify_linear_collision,
 )
-from packpoly.errors import DimensionTooSmall
+from packpoly import classifier
+from packpoly.classifier import _classify
+from packpoly.errors import DimensionTooSmall, FactorizationTooHard
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
 C2 = QuadPoly2(1, 1, 1, 3, 1, 0)
@@ -392,6 +394,65 @@ class TestExhaustiveSearch:
         variants = [cert.variant for _, cert in results]
         assert variants == [1, 2]
 
+    def test_coefficient_bound_five_finds_exactly_the_two(self):
+        tuples = [F.as_tuple() for F, _ in search_quadratics(5, 60, 500)]
+        assert tuples == [(1, 1, 1, 1, 3, 0), (1, 1, 1, 3, 1, 0)]
+
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             search_quadratics(-1, 10, 10)
+
+
+def counting_nonresidue_prime(monkeypatch):
+    calls = []
+    original = classifier.nonresidue_prime
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "nonresidue_prime", counting)
+    return calls
+
+
+class TestWitnessPrimeCache:
+    def test_shared_cache_changes_no_certificate(self):
+        primes = {}
+        for F in sweep(3):
+            cert = _classify(F, max_diagonal=600, budget=10**6, primes=primes)
+            assert cert == classify(F), F
+        # retry primes, found above a previous p, are cached as well
+        assert any(floor is not None for _, _, floor in primes)
+
+    def test_search_finds_each_witness_prime_once(self, monkeypatch):
+        calls = counting_nonresidue_prime(monkeypatch)
+        search_quadratics(4, 60, 500)
+        first = len(calls)
+        assert 0 < first <= 80  # 10,238 calls, one per ModularGap try, uncached
+        search_quadratics(4, 60, 500)
+        assert len(calls) == 2 * first  # nothing is kept between searches
+
+    def test_classify_starts_from_an_empty_cache(self, monkeypatch):
+        calls = counting_nonresidue_prime(monkeypatch)
+        F = QuadPoly2(1, 0, 1, 1, 1, 0)
+        assert classify(F) == classify(F)
+        assert len(calls) == 2
+
+    def test_factorization_failure_propagates_and_is_not_cached(
+        self, monkeypatch
+    ):
+        def too_hard(*args, **kwargs):
+            raise FactorizationTooHard("planted")
+
+        monkeypatch.setattr(classifier, "nonresidue_prime", too_hard)
+        with pytest.raises(FactorizationTooHard, match="planted"):
+            search_quadratics(4, 60, 500)
+        primes = {}
+        with pytest.raises(FactorizationTooHard):
+            _classify(
+                QuadPoly2(1, 0, 1, 1, 1, 0),
+                max_diagonal=600,
+                budget=10**6,
+                primes=primes,
+            )
+        assert primes == {}
