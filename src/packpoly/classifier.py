@@ -79,8 +79,7 @@ class ModularGap:
     8aD v = D u^2 - v'^2 + r with (D/p) = -1, forcing v = s (mod p) to
     imply v = s (mod p^2); so the class of s + p modulo p^2 is empty.
     verify_certificate proves the identity from F's values at six points
-    and re-checks each congruence; scanning a box of values is opt-in
-    (modular_box, default 0).
+    and re-checks each congruence.
     """
 
     witness: NonResidueCertificate
@@ -242,22 +241,16 @@ def _witness_search(F: QuadPoly2, max_diagonal: int) -> Certificate:
 # certificate verification
 
 
-def verify_certificate(
-    F: QuadPoly2,
-    certificate: Certificate,
-    *,
-    modular_box: int = 0,
-) -> bool:
+def verify_certificate(F: QuadPoly2, certificate: Certificate) -> bool:
     """Re-check a certificate against F from scratch.
 
     Returns False (rather than raising) when the certificate does not
     hold for this polynomial, including certificates produced for a
-    different polynomial.  A ModularGap is proved exactly; modular_box > 0
-    adds an opt-in spot check that no point of [0, modular_box]^2 lands
-    in the claimed-empty class.
+    different polynomial.  A ModularGap is proved from six values of F,
+    with no scan over a box of values.
     """
     try:
-        return _verify(F, certificate, modular_box)
+        return _verify(F, certificate)
     except (PackpolyError, ValueError, OverflowError):
         return False
 
@@ -266,7 +259,7 @@ def verify_certificate(
 _UNISOLVENT_POINTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _verify(F: QuadPoly2, certificate: Certificate, modular_box: int) -> bool:
+def _verify(F: QuadPoly2, certificate: Certificate) -> bool:
     if isinstance(certificate, CantorMatch):
         target = CANTOR1 if certificate.variant == 1 else CANTOR2
         return F.as_tuple() == target.as_tuple()
@@ -339,17 +332,7 @@ def _verify(F: QuadPoly2, certificate: Certificate, modular_box: int) -> bool:
             return False
         # the one attainable lift of s mod p^2 must not be the claimed class
         s0 = r * pow(8 * a * D % (p * p), -1, p * p) % (p * p)
-        if (s + p - s0) % (p * p) == 0:
-            return False
-        # opt-in spot check: no value over the test box falls in the class
-        if modular_box > 0:
-            target = (s + p) % (p * p)
-            mod = p * p
-            for x in range(modular_box + 1):
-                for y in range(modular_box + 1):
-                    if (F.evaluate(x, y) - target) % mod == 0:
-                        return False
-        return True
+        return (s + p - s0) % (p * p) != 0
 
     if isinstance(certificate, StructuralFail):
         if not certificate.failures:

@@ -20,6 +20,7 @@ from .classifier import (
     Certificate,
     Collision,
     Gap,
+    LinearSubject,
     ModularGap,
     StructuralFail,
     classify,
@@ -165,8 +166,6 @@ def _cmd_refute_linear(args: argparse.Namespace) -> int:
     coeffs, constant = numbers[:-1], numbers[-1]
     cert = refute_linear(coeffs, constant, ell=args.ell)
     if args.json:
-        from .classifier import LinearSubject
-
         subject = LinearSubject(
             coeffs=tuple(coeffs), constant=constant, ell=args.ell
         )

@@ -200,7 +200,8 @@ class NonResidueCertificate:
             return False
         if self.ell % self.p == 0:
             return False
-        return legendre(self.D, self.p) == -1
+        # p is an odd prime here, so the Jacobi symbol is the Legendre symbol
+        return jacobi(self.D, self.p) == -1
 
 
 def nonresidue_prime(

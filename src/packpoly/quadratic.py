@@ -11,6 +11,7 @@ bounds that let finite scans speak about all of N0^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import InvalidM, OddNumerator
 
@@ -307,26 +308,24 @@ def diagonal_tail_min(F: QuadPoly2, start: int) -> int:
 
 
 def gap_box_bound(F: QuadPoly2, g: int) -> int:
-    """Smallest B such that every lattice point outside [0, B]^2 provably
-    has F > g.
+    """Smallest B >= 1 such that every lattice point outside [0, B]^2
+    provably has F > g; 0 when the growth bound exceeds g everywhere.
 
-    Outside the box means x > B or y > B, hence x + y >= B + 1, so it
-    suffices that diagonal_tail_min(F, B + 1) > g; that quantity is
-    nondecreasing in B, which makes the minimal B well-defined.
+    Outside the box means x + y >= B + 1, so it suffices that
+    diagonal_tail_min(F, B + 1) > g, that is, h(j) = alpha j^2 - beta j
+    + gamma - scale*g > 0 for every integer j >= B + 1 (coefficients from
+    _growth_coefficients).  Unless that holds from j = 0 on, some integer
+    j0 >= 0 has h(j0) <= 0, so h has a larger real root rho >= j0 and
+    h <= 0 on every integer of [j0, rho]: the condition holds exactly for
+    B + 1 > rho.  The least such B is floor(rho) = (beta + isqrt(disc))
+    // (2 alpha), since flooring the square root first leaves the floor
+    of the quotient unchanged.
     """
     if diagonal_tail_min(F, 0) > g:
         return 0
-    lo, hi = 0, 1
-    while diagonal_tail_min(F, hi + 1) <= g:
-        hi *= 2
-    # smallest B in (lo, hi] with tail min beyond the box exceeding g
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if diagonal_tail_min(F, mid + 1) > g:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    alpha, beta, gamma, scale = _growth_coefficients(F)
+    disc = beta * beta - 4 * alpha * (gamma - scale * g)
+    return max(1, (beta + isqrt(disc)) // (2 * alpha))
 
 
 def quadrant_outside_min(F: QuadPoly2, box_bound: int) -> int:
@@ -337,14 +336,12 @@ def quadrant_outside_min(F: QuadPoly2, box_bound: int) -> int:
     coordinatewise nondecreasing (b >= 0, a + d >= 0, c + e >= 0, with
     a, c >= 0) -- the exact minimum over the two boundary lines
     x = box_bound + 1 and y = box_bound + 1, to which every outside point
-    walks down monotonically.
+    walks down monotonically.  On those lines F is least where the other
+    coordinate is 0, so the ring minimum is min(F(edge, 0), F(0, edge)).
     """
     bounds = [diagonal_tail_min(F, box_bound + 1)]
     if F.b >= 0 and F.a >= 0 and F.c >= 0 and F.a + F.d >= 0 and F.c + F.e >= 0:
         edge = box_bound + 1
-        ring_doubled = min(
-            min(F.doubled_value(edge, y) for y in range(edge + 1)),
-            min(F.doubled_value(x, edge) for x in range(edge + 1)),
-        )
+        ring_doubled = min(F.doubled_value(edge, 0), F.doubled_value(0, edge))
         bounds.append(-(-ring_doubled // 2))
     return max(bounds)

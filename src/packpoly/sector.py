@@ -10,16 +10,16 @@ it, here called the lower and upper polynomials:
 with d = (s - 1)/r.  Membership tests use the cross-multiplied integer
 inequality throughout; nothing here touches rationals or floats.
 
-Both polynomials have a closed-form inverse.  Write q = x - dy.  The
-sector points with a given q are exactly those with 0 <= y <= r*q, and
-on that segment
+Write q = x - dy.  The sector points with a given q are exactly those
+with 0 <= y <= r*q, and on that segment
 
     lower = B(q) + y,    upper = B(q) + r*q - y,
 
-with B(q) = r*q(q - 1)/2 + q.  Since B(q + 1) = B(q) + r*q + 1, the
-segments cover 0, 1, 2, ... exactly once, so unpacking n finds the
-segment with an integer square root and reads y off the offset
-n - B(q), for n of any size.
+with B(q) = r*q(q - 1)/2 + q.  Both polynomials are evaluated in this
+segment form, which needs no halving check.  Since B(q + 1) = B(q) +
+r*q + 1, the segments cover 0, 1, 2, ... exactly once, so unpacking n
+finds the segment with an integer square root and reads y off the
+offset n - B(q), for n of any size.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Literal
 
-from .errors import (
-    InvalidSectorSpec,
-    NotInSector,
-    OddNumerator,
-    SectorDivisibilityError,
-)
+from .errors import InvalidSectorSpec, NotInSector, SectorDivisibilityError
 
 SectorPoint = tuple[int, int]
 
@@ -75,31 +70,26 @@ def sector_contains(spec: SectorSpec, x: int, y: int) -> bool:
     return 0 <= y and 0 <= x and spec.s * y <= spec.r * x
 
 
-def _halve_even(numerator: int, label: str) -> int:
-    if numerator % 2 != 0:
-        raise OddNumerator(
-            f"{label} numerator {numerator} is odd; "
-            "the evenness guarantee only holds on sector points"
-        )
-    return numerator // 2
+def _segment_base(spec: SectorSpec, q: int) -> int:
+    # B(q) = q(rq + 2 - r)/2 = rq(q-1)/2 + q: the least value of both
+    # polynomials over the sector points with x - dy = q, whose values
+    # fill [B(q), B(q) + rq].
+    return spec.r * q * (q - 1) // 2 + q
 
 
 def sector_F(spec: SectorSpec, x: int, y: int) -> int:
-    """The lower packing polynomial, exact on sector points."""
+    """The lower packing polynomial, read off segment q = x - dy: B(q) + y."""
     if not sector_contains(spec, x, y):
         raise NotInSector(f"({x}, {y}) is outside the {spec.r}/{spec.s} sector")
-    q = x - spec.d * y
-    numerator = spec.r * q * q + (2 - spec.r) * x + (spec.d * spec.r - 2 * spec.d + 2) * y
-    return _halve_even(numerator, "lower polynomial")
+    return _segment_base(spec, x - spec.d * y) + y
 
 
 def sector_G(spec: SectorSpec, x: int, y: int) -> int:
-    """The upper packing polynomial, exact on sector points."""
+    """The upper packing polynomial, read off segment q = x - dy: B(q) + rq - y."""
     if not sector_contains(spec, x, y):
         raise NotInSector(f"({x}, {y}) is outside the {spec.r}/{spec.s} sector")
     q = x - spec.d * y
-    numerator = spec.r * q * q + (spec.r + 2) * x - (2 * spec.d + spec.s + 1) * y
-    return _halve_even(numerator, "upper polynomial")
+    return _segment_base(spec, q) + spec.r * q - y
 
 
 def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) -> int:
@@ -121,13 +111,6 @@ def sector_enumerate(spec: SectorSpec, count: int) -> list[SectorPoint]:
         points.extend((x, y) for y in range(height))
         x += 1
     return points
-
-
-def _segment_base(spec: SectorSpec, q: int) -> int:
-    # B(q) = q(rq + 2 - r)/2 = rq(q-1)/2 + q: the least value of both
-    # polynomials over the sector points with x - dy = q, whose values
-    # fill [B(q), B(q) + rq].
-    return spec.r * q * (q - 1) // 2 + q
 
 
 def sector_tail_min(spec: SectorSpec, x_from: int) -> int:

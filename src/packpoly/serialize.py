@@ -242,12 +242,10 @@ def document_from_json(text: str) -> tuple[Subject, Certificate]:
     )
 
 
-def verify_document(
-    subject: Subject, cert: Certificate, *, modular_box: int = 0
-) -> bool:
+def verify_document(subject: Subject, cert: Certificate) -> bool:
     """Dispatch verification by subject type; mismatches are just False."""
     if isinstance(subject, QuadPoly2):
-        return verify_certificate(subject, cert, modular_box=modular_box)
+        return verify_certificate(subject, cert)
     if isinstance(subject, LinearSubject):
         if not isinstance(cert, Collision):
             return False

@@ -170,7 +170,7 @@ def test_08_modular_gap_class_is_empty_and_certified():
         for x in range(201):
             for y in range(201):
                 assert (F.evaluate(x, y) - target) % modulus != 0
-        assert verify_certificate(F, cert, modular_box=200)
+        assert verify_certificate(F, cert)
         assert not verify_certificate(F, ModularGap(cert.witness, (s + 1) % p))
         w = cert.witness
         assert not verify_certificate(F, ModularGap(type(w)(w.D + 1, w.ell, w.p), s))

@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from oracles import gap_holds_by_scan
+from oracles import gap_holds_by_scan, modular_class_hit
 
 from packpoly import (
     CantorMatch,
@@ -27,7 +27,7 @@ from packpoly import (
     verify_certificate,
     verify_linear_collision,
 )
-from packpoly import classifier
+from packpoly import classifier, numtheory
 from packpoly.classifier import _classify
 from packpoly.errors import DimensionTooSmall, FactorizationTooHard
 
@@ -124,7 +124,9 @@ class TestSoundness:
         for F in sweep(2):
             cert = classify(F)
             assert verify_certificate(F, cert), (F, cert)
-            assert verify_certificate(F, cert, modular_box=50), (F, cert)
+            # the six-point proof is the verdict; a box scan is its oracle
+            if isinstance(cert, ModularGap):
+                assert modular_class_hit(F, cert, 50) is None, (F, cert)
 
     def test_all_refutation_kinds_appear(self):
         kinds = {type(classify(F)).__name__ for F in sweep(2)}
@@ -185,16 +187,6 @@ def modular_gaps(bound):
             yield F, cert
 
 
-def class_hit(F, cert, box):
-    """A point of [0, box]^2 whose value lies in the claimed-empty class."""
-    p, s = cert.witness.p, cert.s
-    for x in range(box + 1):
-        for y in range(box + 1):
-            if (F.evaluate(x, y) - s - p) % (p * p) == 0:
-                return (x, y)
-    return None
-
-
 def shifted(F, index, delta):
     coeffs = list(F.as_tuple())
     coeffs[index] += delta
@@ -216,7 +208,7 @@ class TestModularGapProof:
             for index, delta in ((3, 2), (3, -2), (4, 2), (4, -2)):
                 G = shifted(F, index, delta)
                 if verify_certificate(G, cert):
-                    assert class_hit(G, cert, 40) is None, (G, cert)
+                    assert modular_class_hit(G, cert, 40) is None, (G, cert)
                 else:
                     rejected += 1
         assert rejected > 700
@@ -237,6 +229,21 @@ class TestModularGapProof:
         assert verify_certificate(F, cert)
         assert len(calls) <= 6
         assert not verify_certificate(shifted(F, 5, 1), cert)
+
+    def test_one_primality_test_per_check(self, monkeypatch):
+        F = QuadPoly2(1, 0, 1, 1, 1, 0)
+        cert = classify(F)
+        assert isinstance(cert, ModularGap)
+        calls = []
+        original = numtheory.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        assert verify_certificate(F, cert)
+        assert calls == [cert.witness.p]
 
 
 class TestGapBox:

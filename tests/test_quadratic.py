@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import region_counts_bruteforce
+from oracles import (
+    gap_box_bound_by_bisection,
+    quadrant_outside_min_by_scan,
+    region_counts_bruteforce,
+)
 
 from packpoly import (
     CANTOR1,
@@ -317,3 +321,31 @@ class TestGrowthBounds:
                 sample += [(edge + 37, edge + 11), (edge, edge)]
                 for x, y in sample:
                     assert F.evaluate(x, y) >= bound
+
+    def test_gap_box_bound_matches_bisection(self):
+        rng = random.Random(9)
+        # d = e = 0 and g = f: the least box from the root alone is 0
+        assert gap_box_bound(QuadPoly2(2, 0, 2, 0, 0, 3), 3) == 1
+        for size in [10, 10**3, 10**21] * 300:
+            a, c = rng.randint(1, size), rng.randint(1, size)
+            b = rng.randint(-size, size)
+            if b < 0 and b * b >= a * c:
+                continue
+            d = a + 2 * rng.randint(-size, size)
+            e = c + 2 * rng.randint(-size, size)
+            f = rng.randint(0, size)
+            F = QuadPoly2(a, b, c, d, e, f)
+            for g in (0, f, rng.randint(0, size), rng.randint(0, size**3)):
+                assert gap_box_bound(F, g) == gap_box_bound_by_bisection(F, g), (F, g)
+
+    def test_outside_min_matches_ring_scan(self):
+        rng = random.Random(10)
+        for _ in range(600):
+            a, c = rng.randint(1, 6), rng.randint(1, 6)
+            b = rng.randint(-3, 6)
+            if b < 0 and b * b >= a * c:
+                continue
+            F = QuadPoly2(a, b, c, a + 2 * rng.randint(-4, 4),
+                          c + 2 * rng.randint(-4, 4), rng.randint(0, 9))
+            box = rng.randint(0, 60)
+            assert quadrant_outside_min(F, box) == quadrant_outside_min_by_scan(F, box)

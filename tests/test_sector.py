@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from oracles import sector_column
+from oracles import sector_column, sector_value_by_numerator
 
 from packpoly import (
     InvalidSectorSpec,
@@ -132,6 +132,18 @@ class TestEvaluation:
                 for which in ("F", "G"):
                     v = sector_evaluate(spec, which, x, y)
                     assert isinstance(v, int) and v >= 0
+
+    @pytest.mark.parametrize("r,s", UNPACK_SPECS)
+    def test_segment_form_matches_numerators(self, r, s):
+        spec = SectorSpec(r, s)
+        rng = random.Random(r * 100 + s)
+        points = sector_enumerate(spec, 1500)
+        for _ in range(200):
+            x = rng.randint(0, 10**30)
+            points.append((x, rng.randint(0, r * x // s)))
+        for x, y in points:
+            assert sector_F(spec, x, y) == sector_value_by_numerator(spec, "F", x, y)
+            assert sector_G(spec, x, y) == sector_value_by_numerator(spec, "G", x, y)
 
     def test_dispatch_matches_direct_calls(self):
         spec = SectorSpec(2, 5)
