@@ -55,6 +55,7 @@ from .numtheory import (
     is_prime,
     is_square,
     jacobi,
+    least_nonresidue_prime,
     legendre,
     nonresidue_prime,
     prime_in_ap,

@@ -20,13 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from .decimals import to_decimal
 from .errors import (
     DimensionTooSmall,
+    FactorizationTooHard,
     NotQuadratic,
     PackpolyError,
     SearchExhausted,
 )
-from .numtheory import NonResidueCertificate, is_square, nonresidue_prime
+from .numtheory import (
+    NonResidueCertificate,
+    is_square,
+    least_nonresidue_prime,
+    nonresidue_prime,
+)
 from .quadratic import (
     CANTOR1,
     CANTOR2,
@@ -41,7 +48,7 @@ from .quadratic import (
 
 Point2 = tuple[int, int]
 PointM = tuple[int, ...]
-# nonresidue_prime(D, ell, exceed=floor) by (D, ell, floor), for one search
+# the witness prime above floor for D and ell, by (D, ell, floor), for one search
 _WitnessPrimes = dict[tuple[int, int, int | None], NonResidueCertificate]
 
 
@@ -120,9 +127,10 @@ def classify(
     """Decide whether F packs N0^2, producing a certificate either way.
 
     Pipeline: structural validation, positivity of the quadratic part
-    included; modular refutation when D = b^2 - ac is not a square; exact
-    coefficient match against the two Cantor tuples; bounded witness
-    search (collision / gap / negative value) for everything else.
+    included; modular refutation when D = b^2 - ac is not a square,
+    whether or not D can be factored; exact coefficient match against
+    the two Cantor tuples; bounded witness search (collision / gap /
+    negative value) for everything else.
     """
     return _classify(F, max_diagonal=max_diagonal, budget=budget, primes={})
 
@@ -136,9 +144,9 @@ def _classify(
 ) -> Certificate:
     """classify(F), reusing the witness primes already found in `primes`.
 
-    `primes` maps (D, 8a, floor) to the result of nonresidue_prime(D, 8a,
-    exceed=floor); a caller that classifies many candidates shares one
-    dict across them, so each witness prime is constructed once.
+    `primes` maps (D, 8a, floor) to the witness prime _modular_gap found
+    above floor; a caller that classifies many candidates shares one dict
+    across them, so each witness prime is found once.
     """
     if (F.a, F.b, F.c) == (0, 0, 0):
         raise NotQuadratic("candidate has no quadratic part; use refute_linear")
@@ -167,16 +175,31 @@ def _modular_gap(
     budget: int,
     primes: _WitnessPrimes,
 ) -> ModularGap:
+    """The ModularGap certificate for F, whose D = b^2 - ac is not a square.
+
+    Each witness prime comes from nonresidue_prime, which factors D by
+    trial division.  Where that raises FactorizationTooHard, the least
+    prime above the same floor with (D/p) = -1 is found by a Jacobi scan
+    instead, for that floor and every retry after it, so D is trial-divided
+    at most once per call.  The verifier accepts either prime, and both are
+    cached in `primes` under the same key.
+    """
     ell = 8 * F.a  # a >= 1 past the definiteness stage, so ell != 0
     r = square_completion(F).r
     floor = None
+    unfactored = False
     while True:
         key = (D, ell, floor)
         witness = primes.get(key)
         if witness is None:
-            witness = primes[key] = nonresidue_prime(
-                D, ell, budget=budget, exceed=floor
-            )
+            if not unfactored:
+                try:
+                    witness = nonresidue_prime(D, ell, budget=budget, exceed=floor)
+                except FactorizationTooHard:
+                    unfactored = True
+            if unfactored:
+                witness = least_nonresidue_prime(D, ell, budget=budget, exceed=floor)
+            primes[key] = witness
         p = witness.p
         # p > 8a and (D/p) = -1 give gcd(8aD, p) = 1, so the inverse exists.
         # Attained values congruent to s mod p all fall in one class mod
@@ -214,7 +237,7 @@ def _witness_search(F: QuadPoly2, max_diagonal: int) -> Certificate:
                             name="nonnegative_range",
                             identity=(
                                 f"a packing polynomial maps into N0, but "
-                                f"2 F{pt} = {2 * v}"
+                                f"2 F{pt} = {to_decimal(2 * v)}"
                             ),
                             witness=pt,
                             doubled_value=2 * v,
@@ -416,7 +439,9 @@ def refute_linear(coeffs: Sequence[int], constant: int, ell: int = 0) -> Collisi
     if m < 2:
         raise DimensionTooSmall(f"need at least 2 variables, got {m}")
     if ell < 0:
-        raise ValueError(f"domain threshold must be nonnegative, got {ell}")
+        raise ValueError(
+            f"domain threshold must be nonnegative, got {to_decimal(ell)}"
+        )
     coeffs = tuple(coeffs)
     subject = LinearSubject(coeffs=coeffs, constant=constant, ell=ell)
     if all(a == 0 for a in coeffs):

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Every subcommand reads and writes integers as decimal strings of
-unbounded size.  Exit codes separate four outcomes: 0 success or
-confirmed, 1 refuted or invalid certificate, 2 usage error, 3
-inconclusive (a bounded search or budget ran out, which is reported,
-never dressed up as an answer).
+unbounded size, through decimals.from_decimal and to_decimal, so the
+interpreter's int-to-str limit never applies.  Exit codes separate four
+outcomes: 0 success or confirmed, 1 refuted or invalid certificate, 2
+usage error, 3 inconclusive (a bounded search or budget ran out, which
+is reported, never dressed up as an answer).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .classifier import (
     refute_linear,
     search_quadratics,
 )
+from .decimals import from_decimal, to_decimal
 from .errors import (
     BudgetExhausted,
     FactorizationTooHard,
@@ -55,6 +57,11 @@ _INCONCLUSIVE = (
 )
 
 
+def _point(p: Sequence[int]) -> str:
+    """A point as its tuple prints, "(x, y)"."""
+    return "(" + ", ".join(to_decimal(v) for v in p) + ")"
+
+
 def _human_certificate(cert: Certificate) -> str:
     """Render a certificate; the first line is always the variant token."""
     if isinstance(cert, CantorMatch):
@@ -62,23 +69,24 @@ def _human_certificate(cert: Certificate) -> str:
     if isinstance(cert, Collision):
         return (
             "Collision\n"
-            f"  points {tuple(cert.p1)} and {tuple(cert.p2)} "
-            f"share the value {cert.value}"
+            f"  points {_point(cert.p1)} and {_point(cert.p2)} "
+            f"share the value {to_decimal(cert.value)}"
         )
     if isinstance(cert, Gap):
         return (
             "Gap\n"
-            f"  value {cert.value} is attained nowhere: the box "
-            f"[0, {cert.box_bound}]^2 misses it and growth beyond the box "
+            f"  value {to_decimal(cert.value)} is attained nowhere: the box "
+            f"[0, {to_decimal(cert.box_bound)}]^2 misses it and growth beyond the box "
             "provably exceeds it"
         )
     if isinstance(cert, ModularGap):
         w = cert.witness
         return (
             "ModularGap\n"
-            f"  no value is congruent to {cert.s} + {w.p} modulo {w.p}^2\n"
-            f"  (p = {w.p} is a non-residue witness for D = {w.D}, "
-            f"found above {abs(w.ell)})"
+            f"  no value is congruent to {to_decimal(cert.s)} + {to_decimal(w.p)} "
+            f"modulo {to_decimal(w.p)}^2\n"
+            f"  (p = {to_decimal(w.p)} is a non-residue witness for D = "
+            f"{to_decimal(w.D)}, found above {to_decimal(abs(w.ell))})"
         )
     if isinstance(cert, StructuralFail):
         lines = ["StructuralFail"]
@@ -93,38 +101,38 @@ def _human_certificate(cert: Certificate) -> str:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    coords = [int(tok) for tok in args.coords]
+    coords = [from_decimal(tok) for tok in args.coords]
     if len(coords) != args.dim:
         print(
             f"error: expected {args.dim} coordinates, got {len(coords)}",
             file=sys.stderr,
         )
         return 2
-    print(pack_m(coords))
+    print(to_decimal(pack_m(coords)))
     return 0
 
 
 def _cmd_unpack(args: argparse.Namespace) -> int:
-    coords = unpack_m(int(args.n), args.dim)
-    print(" ".join(str(v) for v in coords))
+    coords = unpack_m(from_decimal(args.n), args.dim)
+    print(" ".join(to_decimal(v) for v in coords))
     return 0
 
 
 def _cmd_pack2(args: argparse.Namespace) -> int:
     fn = cantor1 if args.variant == "c1" else cantor2
-    print(fn(int(args.x), int(args.y)))
+    print(to_decimal(fn(from_decimal(args.x), from_decimal(args.y))))
     return 0
 
 
 def _cmd_unpack2(args: argparse.Namespace) -> int:
     fn = cantor1_inverse if args.variant == "c1" else cantor2_inverse
-    x, y = fn(int(args.n))
-    print(f"{x} {y}")
+    x, y = fn(from_decimal(args.n))
+    print(f"{to_decimal(x)} {to_decimal(y)}")
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    F = QuadPoly2(*(int(tok) for tok in args.coefficients))
+    F = QuadPoly2(*(from_decimal(tok) for tok in args.coefficients))
     cert = classify(F)
     if args.json:
         print(document_to_json(F, cert))
@@ -156,7 +164,7 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute_linear(args: argparse.Namespace) -> int:
-    numbers = [int(tok) for tok in args.numbers]
+    numbers = [from_decimal(tok) for tok in args.numbers]
     if len(numbers) < 3:
         print(
             "error: need at least two coefficients and a constant",
@@ -178,15 +186,19 @@ def _cmd_refute_linear(args: argparse.Namespace) -> int:
 def _cmd_sector_pack(args: argparse.Namespace) -> int:
     spec = SectorSpec(args.r, args.s)
     which = "F" if args.variant == "f" else "G"
-    print(sector_evaluate(spec, which, int(args.x), int(args.y)))
+    print(
+        to_decimal(
+            sector_evaluate(spec, which, from_decimal(args.x), from_decimal(args.y))
+        )
+    )
     return 0
 
 
 def _cmd_sector_unpack(args: argparse.Namespace) -> int:
     spec = SectorSpec(args.r, args.s)
     which = "F" if args.variant == "f" else "G"
-    x, y = sector_unpack(spec, which, int(args.n))
-    print(f"{x} {y}")
+    x, y = sector_unpack(spec, which, from_decimal(args.n))
+    print(f"{to_decimal(x)} {to_decimal(y)}")
     return 0
 
 
@@ -234,16 +246,16 @@ def _cmd_search_quadratics(args: argparse.Namespace) -> int:
 
 
 def _cmd_nonresidue_prime(args: argparse.Namespace) -> int:
-    cert = nonresidue_prime(int(args.D), int(args.L))
-    print(cert.p)
+    cert = nonresidue_prime(from_decimal(args.D), from_decimal(args.L))
+    print(to_decimal(cert.p))
     return 0
 
 
 def _cmd_region_counts(args: argparse.Namespace) -> int:
     counts = region_counts(args.m)
     for index, value in enumerate(counts.as_tuple(), start=1):
-        print(f"N{index} {value}")
-    print(f"total {counts.total}")
+        print(f"N{index} {to_decimal(value)}")
+    print(f"total {to_decimal(counts.total)}")
     return 0
 
 
@@ -297,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "refute-linear",
         help="collision certificate for a linear polynomial (a1 ... am c)",
     )
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=from_decimal, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("numbers", nargs="+")
     p.set_defaults(handler=_cmd_refute_linear)
@@ -306,16 +318,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sector_sub = p.add_subparsers(dest="sector_command", required=True)
 
     sp = sector_sub.add_parser("pack", help="evaluate a sector polynomial")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
+    sp.add_argument("--r", type=from_decimal, required=True)
+    sp.add_argument("--s", type=from_decimal, required=True)
     sp.add_argument("--variant", choices=("f", "g"), default="f")
     sp.add_argument("x")
     sp.add_argument("y")
     sp.set_defaults(handler=_cmd_sector_pack)
 
     sp = sector_sub.add_parser("unpack", help="invert a sector polynomial")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
+    sp.add_argument("--r", type=from_decimal, required=True)
+    sp.add_argument("--s", type=from_decimal, required=True)
     sp.add_argument("--variant", choices=("f", "g"), default="f")
     sp.add_argument("n")
     sp.set_defaults(handler=_cmd_sector_unpack)
@@ -323,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sector_sub.add_parser(
         "verify", help="brute-force packing check on an enumeration prefix"
     )
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
+    sp.add_argument("--r", type=from_decimal, required=True)
+    sp.add_argument("--s", type=from_decimal, required=True)
     sp.add_argument("--variant", choices=("f", "g"), default=None)
     sp.add_argument("--points", type=int, default=3000)
     sp.set_defaults(handler=_cmd_sector_verify)
@@ -348,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_nonresidue_prime)
 
     p = sub.add_parser("region-counts", help="lattice counts for the five regions")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=from_decimal)
     p.set_defaults(handler=_cmd_region_counts)
 
     return parser
@@ -373,7 +385,4 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    # Very large packed integers exceed the default conversion guard.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
     sys.exit(cli_dispatch(sys.argv[1:]))

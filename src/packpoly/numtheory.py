@@ -2,17 +2,21 @@
 
 Jacobi/Legendre symbols, square-free decomposition by trial division,
 Chinese remaindering, a budgeted prime search in arithmetic progressions,
-and the construction of a prime modulo which a given non-square is a
-quadratic non-residue.  All arithmetic is arbitrary-precision integer.
+and two ways to find a prime modulo which a given non-square is a
+quadratic non-residue: by construction from the factors, or by a scan
+that needs none.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count, islice
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from .decimals import to_decimal
 from .errors import (
     BudgetExhausted,
     FactorizationTooHard,
@@ -111,11 +115,56 @@ class SquareDecomposition:
         return value
 
 
+# Trial division below this runs over plain odd numbers, so a cofactor
+# that small divisors finish never builds the prime table.
+_PLAIN_TRIAL = 1000
+_PRIME_TABLE_LIMIT = 10**6
+
+
+@functools.cache
+def _odd_primes() -> list[int]:
+    """The odd primes below 10^6, ascending (78,497 of them).
+
+    A sieve of Eratosthenes over the odd numbers, run on first use and
+    kept for the rest of the process.
+    """
+    half = _PRIME_TABLE_LIMIT // 2
+    sieve = bytearray([1]) * half  # sieve[i] stands for 2i + 1
+    sieve[0] = 0
+    for i in range(1, isqrt(_PRIME_TABLE_LIMIT) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+    return list(compress(range(1, _PRIME_TABLE_LIMIT, 2), sieve))
+
+
+def _trial_divisors(limit: int) -> Iterator[int]:
+    """Ascending odd numbers up to limit that include every odd prime.
+
+    Plain odd numbers below _PLAIN_TRIAL, then the primes of the table,
+    then plain odd numbers past it.  A composite divisor never divides
+    what its smaller prime factors have left, so it only costs a step.
+    """
+    yield from range(3, min(limit + 1, _PLAIN_TRIAL), 2)
+    if limit < _PLAIN_TRIAL:
+        return
+    primes = _odd_primes()
+    yield from islice(
+        primes, bisect_left(primes, _PLAIN_TRIAL), bisect_right(primes, limit)
+    )
+    yield from range(_PRIME_TABLE_LIMIT + 1, limit + 1, 2)
+
+
 def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
     """Factor D into sign, power of two, square part, and square-free odd part.
 
-    Trial division only; a cofactor whose least factor exceeds trial_limit
-    raises FactorizationTooHard rather than stalling.
+    Trial division by every odd prime up to trial_limit, ascending, until
+    the divisor's square exceeds what is left.  Divisors below 1,000 are
+    plain odd numbers; past that they come from a table of the odd primes
+    below 10^6, built once per process on first use.  When the cofactor
+    left after every prime up to trial_limit is at least d^2, for d the
+    least odd number above trial_limit, it may be composite: that raises
+    FactorizationTooHard rather than stalling.
     """
     if D == 0:
         raise ZeroInput("cannot decompose zero")
@@ -128,12 +177,9 @@ def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
     m = 1 << (e2 // 2)
     beta = e2 & 1
     odd: list[int] = []
-    d = 3
-    while d * d <= n:
-        if d > trial_limit:
-            raise FactorizationTooHard(
-                f"no factor of remaining cofactor {n} below {trial_limit}"
-            )
+    for d in _trial_divisors(trial_limit):
+        if d * d > n:
+            break
         if n % d == 0:
             exp = 0
             while n % d == 0:
@@ -142,7 +188,12 @@ def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
             m *= d ** (exp // 2)
             if exp & 1:
                 odd.append(d)
-        d += 2
+    else:
+        d = max(3, (trial_limit + 1) | 1)
+        if d * d <= n:
+            raise FactorizationTooHard(
+                f"no factor of remaining cofactor {to_decimal(n)} below {trial_limit}"
+            )
     if n > 1:
         odd.append(n)  # prime cofactor, first power
     return SquareDecomposition(alpha=alpha, beta=beta, m=m, odd_primes=tuple(odd))
@@ -182,7 +233,8 @@ def prime_in_ap(s: int, M: int, exceed: int, budget: int = 10**6) -> int:
             return candidate
         candidate += M
     raise BudgetExhausted(
-        f"no prime = {s} (mod {M}) above {exceed} among {budget} candidates"
+        f"no prime = {to_decimal(s)} (mod {to_decimal(M)}) above "
+        f"{to_decimal(exceed)} among {budget} candidates"
     )
 
 
@@ -202,6 +254,15 @@ class NonResidueCertificate:
             return False
         # p is an odd prime here, so the Jacobi symbol is the Legendre symbol
         return jacobi(self.D, self.p) == -1
+
+
+def _require_nonsquare(D: int, ell: int) -> None:
+    if D == 0 or ell == 0:
+        raise ZeroInput("D and ell must both be nonzero")
+    if is_square(D) is not None:
+        raise IsSquare(
+            f"{to_decimal(D)} is a perfect square; every odd prime sees it as a residue"
+        )
 
 
 def nonresidue_prime(
@@ -226,10 +287,7 @@ def nonresidue_prime(
     floor above the default |ell|, letting callers ask for the next
     witness prime when the smallest one does not suit them.
     """
-    if D == 0 or ell == 0:
-        raise ZeroInput("D and ell must both be nonzero")
-    if is_square(D) is not None:
-        raise IsSquare(f"{D} is a perfect square; every odd prime sees it as a residue")
+    _require_nonsquare(D, ell)
     dec = square_decompose(D, trial_limit)
     if not dec.odd_primes:
         # D = -m^2 (beta = 0 forces alpha = 1 here) or D = +-2 m^2.
@@ -246,3 +304,29 @@ def nonresidue_prime(
             break
         floor = p  # p divides the square part of D; (D/p) would be 0
     return NonResidueCertificate(D=D, ell=ell, p=p)
+
+
+def least_nonresidue_prime(
+    D: int,
+    ell: int,
+    budget: int = 10**6,
+    exceed: int | None = None,
+) -> NonResidueCertificate:
+    """The least prime p > |ell| (and > exceed) with (D/p) = -1.
+
+    Scans the odd numbers upward without factoring D, so it also serves
+    a D that square_decompose cannot factor within its trial limit.  The
+    Jacobi symbol, cheap and -1 for about half the candidates, is tested
+    before primality; for a prime p it is the Legendre symbol.  Raises
+    BudgetExhausted after budget candidates.
+    """
+    _require_nonsquare(D, ell)
+    floor = abs(ell) if exceed is None else max(abs(ell), exceed)
+    start = max(3, (floor + 1) | 1)
+    for p in range(start, start + 2 * budget, 2):
+        if jacobi(D, p) == -1 and is_prime(p):
+            return NonResidueCertificate(D=D, ell=ell, p=p)
+    raise BudgetExhausted(
+        f"no prime above {to_decimal(floor)} with D a non-residue among "
+        f"{budget} odd candidates"
+    )

@@ -16,6 +16,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
+from .decimals import to_decimal
+
 Point2 = tuple[int, int]
 PointM = tuple[int, ...]
 
@@ -23,7 +25,7 @@ PointM = tuple[int, ...]
 def _require_nonnegative(*values: int) -> None:
     for v in values:
         if v < 0:
-            raise ValueError(f"coordinate must be nonnegative, got {v}")
+            raise ValueError(f"coordinate must be nonnegative, got {to_decimal(v)}")
 
 
 def triangular(k: int) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .decimals import to_decimal
 from .errors import InvalidM, OddNumerator
 
 Point2 = tuple[int, int]
@@ -116,29 +117,34 @@ def validate(F: QuadPoly2) -> tuple[ValidationCheck, ...]:
     if a < 0:
         failures.append(_failed(
             F, "a_nonnegative",
-            f"a = F(2,0) - 2F(1,0) + F(0,0) = {a}; a < 0 makes F(x,0) negative for large x",
+            f"a = F(2,0) - 2F(1,0) + F(0,0) = {to_decimal(a)}; "
+            "a < 0 makes F(x,0) negative for large x",
             _doubling_scan_negative(F, (1, 0)),
         ))
     if c < 0:
         failures.append(_failed(
             F, "c_nonnegative",
-            f"c = F(0,2) - 2F(0,1) + F(0,0) = {c}; c < 0 makes F(0,y) negative for large y",
+            f"c = F(0,2) - 2F(0,1) + F(0,0) = {to_decimal(c)}; "
+            "c < 0 makes F(0,y) negative for large y",
             _doubling_scan_negative(F, (0, 1)),
         ))
     if f < 0:
         failures.append(_failed(
-            F, "f_nonnegative", f"f = F(0,0) = {f} must lie in the range N0", (0, 0)
+            F, "f_nonnegative",
+            f"f = F(0,0) = {to_decimal(f)} must lie in the range N0", (0, 0),
         ))
     if (a - d) % 2:
         failures.append(_failed(
             F, "a_d_parity",
-            f"F(1,0) - F(0,0) = (a + d)/2 with a = {a}, d = {d} must be an integer",
+            f"F(1,0) - F(0,0) = (a + d)/2 with a = {to_decimal(a)}, "
+            f"d = {to_decimal(d)} must be an integer",
             (1, 0),
         ))
     if (c - e) % 2:
         failures.append(_failed(
             F, "c_e_parity",
-            f"F(0,1) - F(0,0) = (c + e)/2 with c = {c}, e = {e} must be an integer",
+            f"F(0,1) - F(0,0) = (c + e)/2 with c = {to_decimal(c)}, "
+            f"e = {to_decimal(e)} must be an integer",
             (0, 1),
         ))
     if (a, b, c) == (0, 0, 0):
@@ -149,7 +155,8 @@ def validate(F: QuadPoly2) -> tuple[ValidationCheck, ...]:
     if a == 0 and c == 0 and b < 1:
         failures.append(_failed(
             F, "cross_term_positive",
-            f"with a = c = 0, F(x,x) = b x^2 + ((d+e)/2) x + f >= 0 forces b >= 1 (b = {b})",
+            "with a = c = 0, F(x,x) = b x^2 + ((d+e)/2) x + f >= 0 forces "
+            f"b >= 1 (b = {to_decimal(b)})",
             _doubling_scan_negative(F, (1, 1)) if b < 0 else None,
         ))
     if failures:
@@ -160,7 +167,8 @@ def validate(F: QuadPoly2) -> tuple[ValidationCheck, ...]:
     witness, doubled = found
     identity = (
         "the quadratic part must be positive on the quadrant "
-        f"minus the origin; twice its value at {witness} is {doubled}"
+        f"minus the origin; twice its value at ({to_decimal(witness[0])}, "
+        f"{to_decimal(witness[1])}) is {to_decimal(doubled)}"
     )
     return (ValidationCheck("positive_definite_on_quadrant", identity, witness, doubled),)
 
@@ -252,7 +260,7 @@ def region_counts(m: int) -> RegionCounts:
     99 m^2 + 9m are both even.
     """
     if m < 2:
-        raise InvalidM(f"scale must be at least 2, got {m}")
+        raise InvalidM(f"scale must be at least 2, got {to_decimal(m)}")
     return RegionCounts(
         m=m,
         n1=25 * m * m,

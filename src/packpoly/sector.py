@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Literal
 
+from .decimals import to_decimal
 from .errors import InvalidSectorSpec, NotInSector, SectorDivisibilityError
 
 SectorPoint = tuple[int, int]
@@ -51,18 +52,24 @@ class SectorSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.r < self.s:
             raise InvalidSectorSpec(
-                f"need 1 <= r < s, got r={self.r}, s={self.s}"
+                f"need 1 <= r < s, got r={to_decimal(self.r)}, "
+                f"s={to_decimal(self.s)}"
             )
         if gcd(self.r, self.s) != 1:
             raise InvalidSectorSpec(
-                f"slope {self.r}/{self.s} is not in lowest terms"
+                f"slope {_slope(self)} is not in lowest terms"
             )
         if (self.s - 1) % self.r != 0:
             raise SectorDivisibilityError(
-                f"r={self.r} does not divide s-1={self.s - 1}; "
+                f"r={to_decimal(self.r)} does not divide "
+                f"s-1={to_decimal(self.s - 1)}; "
                 "this sector family is out of scope"
             )
         object.__setattr__(self, "d", (self.s - 1) // self.r)
+
+
+def _slope(spec: SectorSpec) -> str:
+    return f"{to_decimal(spec.r)}/{to_decimal(spec.s)}"
 
 
 def sector_contains(spec: SectorSpec, x: int, y: int) -> bool:
@@ -80,14 +87,18 @@ def _segment_base(spec: SectorSpec, q: int) -> int:
 def sector_F(spec: SectorSpec, x: int, y: int) -> int:
     """The lower packing polynomial, read off segment q = x - dy: B(q) + y."""
     if not sector_contains(spec, x, y):
-        raise NotInSector(f"({x}, {y}) is outside the {spec.r}/{spec.s} sector")
+        raise NotInSector(
+            f"({to_decimal(x)}, {to_decimal(y)}) is outside the {_slope(spec)} sector"
+        )
     return _segment_base(spec, x - spec.d * y) + y
 
 
 def sector_G(spec: SectorSpec, x: int, y: int) -> int:
     """The upper packing polynomial, read off segment q = x - dy: B(q) + rq - y."""
     if not sector_contains(spec, x, y):
-        raise NotInSector(f"({x}, {y}) is outside the {spec.r}/{spec.s} sector")
+        raise NotInSector(
+            f"({to_decimal(x)}, {to_decimal(y)}) is outside the {_slope(spec)} sector"
+        )
     q = x - spec.d * y
     return _segment_base(spec, q) + spec.r * q - y
 
@@ -139,7 +150,7 @@ def sector_unpack(spec: SectorSpec, which: WhichPolynomial, n: int) -> SectorPoi
     if which not in ("F", "G"):
         raise ValueError(f"which must be 'F' or 'G', got {which!r}")
     if n < 0:
-        raise ValueError(f"target value must be nonnegative, got {n}")
+        raise ValueError(f"target value must be nonnegative, got {to_decimal(n)}")
     r = spec.r
     # B(q) <= n iff (2rq + 2 - r)^2 <= (2 - r)^2 + 8rn, and 2rq + 2 - r >= 0
     # for q >= 1; math.isqrt is exact, so this floor is the largest such q.

@@ -3,8 +3,11 @@
 Documents are self-describing tagged trees.  Every mathematical integer
 is rendered as a decimal string so arbitrary-precision values survive
 any JSON implementation untruncated; parsing is strict (optional sign
-and digits only) and rejects raw JSON numbers for those fields.
-Serialization is deterministic: sorted keys, no timestamps.
+and digits only) and rejects raw JSON numbers for those fields.  Those
+strings are written and read by decimals.to_decimal / from_decimal, so
+an integer of any size converts, past Python's int-to-str limit too,
+without changing that limit.  Serialization is deterministic: sorted
+keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .classifier import (
     verify_certificate,
     verify_linear_collision,
 )
+from .decimals import from_decimal, to_decimal
 from .numtheory import NonResidueCertificate
 from .quadratic import QuadPoly2, ValidationCheck
 
@@ -36,13 +40,13 @@ _INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def _encode_int(n: int) -> str:
-    return str(int(n))
+    return to_decimal(int(n))
 
 
 def _decode_int(token: Any, label: str) -> int:
     if not isinstance(token, str) or not _INT_TOKEN.fullmatch(token):
         raise ValueError(f"{label} must be a decimal-string integer, got {token!r}")
-    return int(token)
+    return from_decimal(token)
 
 
 def _decode_point(tokens: Any, label: str) -> tuple[int, ...]:

@@ -9,12 +9,13 @@ from packpoly import (
     QuadPoly2,
     RegionCounts,
     SectorSpec,
+    SquareDecomposition,
     diagonal_tail_min,
     sector_evaluate,
     sector_tail_min,
     validate,
 )
-from packpoly.errors import InvalidM
+from packpoly.errors import FactorizationTooHard, InvalidM, ZeroInput
 
 
 def region_counts_bruteforce(m: int) -> RegionCounts:
@@ -138,3 +139,61 @@ def gap_holds_by_scan(F: QuadPoly2, g: int, box: int) -> bool:
     return all(
         F.evaluate(x, y) != g for x in range(inner + 1) for y in range(inner + 1)
     )
+
+
+def square_decompose_by_odd_trial(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
+    """square_decompose by trial division with every odd d = 3, 5, 7, ...
+
+    Raises FactorizationTooHard at the first d above trial_limit whose
+    square does not exceed the cofactor left.
+    """
+    if D == 0:
+        raise ZeroInput("cannot decompose zero")
+    n = abs(D)
+    alpha = 1 if D < 0 else 0
+    e2 = 0
+    while n % 2 == 0:
+        n //= 2
+        e2 += 1
+    m = 1 << (e2 // 2)
+    beta = e2 & 1
+    odd: list[int] = []
+    d = 3
+    while d * d <= n:
+        if d > trial_limit:
+            raise FactorizationTooHard(
+                f"no factor of remaining cofactor {n} below {trial_limit}"
+            )
+        if n % d == 0:
+            exp = 0
+            while n % d == 0:
+                n //= d
+                exp += 1
+            m *= d ** (exp // 2)
+            if exp & 1:
+                odd.append(d)
+        d += 2
+    if n > 1:
+        odd.append(n)  # prime cofactor, first power
+    return SquareDecomposition(alpha=alpha, beta=beta, m=m, odd_primes=tuple(odd))
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _probably_prime(n: int) -> bool:
+    """Exact by trial division up to 10^7; a Fermat test to the bases
+    below 50 past that."""
+    if n < 10**7:
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+    return all(n % q and pow(q, n - 1, n) == 1 for q in _SMALL_PRIMES)
+
+
+def least_nonresidue_prime_by_euler(D: int, floor: int) -> int:
+    """The least prime p > floor with D^((p-1)/2) = -1 (mod p), trying
+    every integer in turn (Euler's criterion in place of the Jacobi
+    symbol)."""
+    n = floor + 1
+    while not (n > 2 and pow(D % n, (n - 1) // 2, n) == n - 1 and _probably_prime(n)):
+        n += 1
+    return n

@@ -5,7 +5,11 @@ import sys
 import time
 
 import pytest
-from oracles import gap_holds_by_scan, modular_class_hit
+from oracles import (
+    gap_holds_by_scan,
+    least_nonresidue_prime_by_euler,
+    modular_class_hit,
+)
 
 from packpoly import (
     CantorMatch,
@@ -29,6 +33,7 @@ from packpoly import (
 )
 from packpoly import classifier, numtheory
 from packpoly.classifier import _classify
+from packpoly.cli import cli_dispatch
 from packpoly.errors import DimensionTooSmall, FactorizationTooHard
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
@@ -445,21 +450,62 @@ class TestWitnessPrimeCache:
         assert classify(F) == classify(F)
         assert len(calls) == 2
 
-    def test_factorization_failure_propagates_and_is_not_cached(
+    def test_unfactored_d_gets_a_scanned_witness_cached_under_its_key(self):
+        F = QuadPoly2(1000003, 0, 1000033, 1, 1, 0)
+        key = (-1000003 * 1000033, 8 * 1000003, None)
+        primes = {}
+        cert = _classify(F, max_diagonal=600, budget=10**6, primes=primes)
+        assert isinstance(cert, ModularGap)
+        assert list(primes) == [key]
+        assert primes[key] == cert.witness
+        assert verify_certificate(F, cert)
+
+    def test_retries_after_a_failed_factorization_go_straight_to_the_scan(
         self, monkeypatch
     ):
+        calls = []
+
         def too_hard(*args, **kwargs):
+            calls.append(args)
             raise FactorizationTooHard("planted")
 
         monkeypatch.setattr(classifier, "nonresidue_prime", too_hard)
-        with pytest.raises(FactorizationTooHard, match="planted"):
-            search_quadratics(4, 60, 500)
+        # D = -2: the scan's first prime, 13, is the lift's own class
+        F = QuadPoly2(1, -1, 3, -3, -1, 0)
         primes = {}
-        with pytest.raises(FactorizationTooHard):
-            _classify(
-                QuadPoly2(1, 0, 1, 1, 1, 0),
-                max_diagonal=600,
-                budget=10**6,
-                primes=primes,
-            )
-        assert primes == {}
+        cert = _classify(F, max_diagonal=600, budget=10**6, primes=primes)
+        assert len(calls) == 1
+        assert {key: w.p for key, w in primes.items()} == {
+            (-2, 8, None): 13,
+            (-2, 8, 13): 23,
+        }
+        assert cert.witness.p == 23
+        assert verify_certificate(F, cert)
+
+
+def test_small_candidates_never_build_the_prime_table(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("the prime table was built")
+
+    monkeypatch.setattr(numtheory, "_odd_primes", refuse)
+    for F in sweep(3):
+        classify(F)
+    assert cli_dispatch(["classify", "1", "0", "1", "1", "1", "0"]) == 1
+    assert capsys.readouterr().out.startswith("ModularGap\n")
+
+
+P150 = 10**149 + 183
+Q150 = 2 * 10**149 + 801
+
+
+@pytest.mark.parametrize(
+    "F",
+    [QuadPoly2(1000003, 0, 1000033, 1, 1, 0), QuadPoly2(P150, 0, Q150, 1, 1, 0)],
+    ids=["12-digit D", "300-digit D"],
+)
+def test_d_without_small_factors_gets_the_least_nonresidue_prime(F):
+    # neither D = -ac has a prime factor below the trial limit
+    cert = classify(F)
+    assert isinstance(cert, ModularGap)
+    assert verify_certificate(F, cert)
+    assert cert.witness.p == least_nonresidue_prime_by_euler(-F.a * F.c, 8 * F.a)

@@ -114,13 +114,12 @@ class TestClassifyCommand:
         code, _, _ = run_cli(capsys, "classify", "1", "1", "1")
         assert code == 2
 
-    def test_factorization_budget_is_inconclusive(self, capsys):
+    def test_discriminant_past_the_trial_bound_is_refuted(self, capsys):
         # D = -1000003 * 1000033 has no prime factor below the trial bound
         code, out, err = run_cli(
             capsys, "classify", "1000003", "0", "1000033", "1", "1", "0"
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("inconclusive:")
+        assert (code, out.splitlines()[0], err) == (1, "ModularGap", "")
 
 
 class TestCertificatePipeline:
@@ -357,6 +356,13 @@ class TestNumberTheoryCommands:
         code, out, _ = run_cli(capsys, "nonresidue-prime", "2", "8")
         assert (code, out.strip()) == (0, "13")
 
+    def test_factorization_budget_is_inconclusive(self, capsys):
+        code, out, err = run_cli(capsys, "nonresidue-prime", "--", "-1000036000099", "8")
+        assert (code, out) == (3, "")
+        assert err == (
+            "inconclusive: no factor of remaining cofactor 1000036000099 below 1000000\n"
+        )
+
     def test_square_discriminant_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "nonresidue-prime", "9", "1")
         assert code == 2
@@ -422,6 +428,13 @@ class TestInstalledExecutable:
         assert code == 0
         code, out, _ = run_proc("unpack2", out.strip())
         assert tuple(map(int, out.split())) == (x, y)
+
+    def test_round_trip_past_the_int_str_limit(self):
+        x, y = "1" + "0" * 4999 + "7", "3" * 4400
+        code, out, _ = run_proc("pack2", x, y)
+        assert code == 0 and len(out.strip()) > 9000
+        code, out, _ = run_proc("unpack2", out.strip())
+        assert (code, out) == (0, f"{x} {y}\n")
 
     def test_classification_exit_codes(self):
         assert run_proc("classify", "1", "1", "1", "1", "3", "0")[0] == 0

@@ -1,9 +1,16 @@
 """Number-theory helpers against the Euler-criterion oracle and known values."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import least_nonresidue_prime_by_euler, square_decompose_by_odd_trial
 
+from packpoly import numtheory
 from packpoly import (
     BudgetExhausted,
     FactorizationTooHard,
@@ -16,6 +23,7 @@ from packpoly import (
     is_prime,
     is_square,
     jacobi,
+    least_nonresidue_prime,
     legendre,
     nonresidue_prime,
     prime_in_ap,
@@ -166,6 +174,83 @@ class TestSquareDecompose:
             assert squarefree * dec.m**2 == D
 
 
+def decompose_outcome(decompose, D, trial_limit):
+    """The decomposition, or the FactorizationTooHard message."""
+    try:
+        return decompose(D, trial_limit)
+    except FactorizationTooHard as exc:
+        return f"FactorizationTooHard: {exc}"
+
+
+def assert_matches_odd_trial(D, trial_limit):
+    assert decompose_outcome(square_decompose, D, trial_limit) == decompose_outcome(
+        square_decompose_by_odd_trial, D, trial_limit
+    )
+
+
+SMALL_PARTS = st.sampled_from([1, -1, 2, -4, 3, -9, 12, -45, 210, -(3**5) * 7**2])
+NEAR_MILLION = [p for p in range(10**6 - 400, 10**6 + 400) if is_prime(p)]
+
+
+class TestSquareDecomposeAgainstOddTrial:
+    """Trial division by primes gives the odd-number loop's answer, raise included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        D=st.integers(-(10**12), 10**12).filter(bool),
+        trial_limit=st.sampled_from(
+            [1, 2, 3, 997, 999, 1000, 1009, 10**4, 10**4 + 1, 10**6]
+        ),
+    )
+    @example(D=1009 * 1013, trial_limit=1009)  # a prime limit, reached
+    def test_random_d(self, D, trial_limit):
+        assert_matches_odd_trial(D, trial_limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trial_limit=st.sampled_from([10**4, 10**4 + 1]),
+        delta=st.integers(-60, 60),
+        small=SMALL_PARTS,
+    )
+    @example(trial_limit=10**4, delta=10007**2 - 10001**2, small=1)  # a prime squared
+    @example(trial_limit=10**4 + 1, delta=0, small=-1)
+    def test_cofactors_around_the_first_odd_past_the_limit_squared(
+        self, trial_limit, delta, small
+    ):
+        d = (trial_limit + 1) | 1  # 10001 = 73 * 137, or 10003
+        assert_matches_odd_trial(small * (d * d + delta), trial_limit)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        p=st.sampled_from(NEAR_MILLION),
+        q=st.sampled_from(NEAR_MILLION),
+        small=SMALL_PARTS,
+    )
+    def test_products_of_two_primes_near_the_default_limit(self, p, q, small):
+        assert_matches_odd_trial(small * p * q, 10**6)
+
+    def test_prime_table_holds_the_odd_primes_below_a_million(self):
+        table = numtheory._odd_primes()
+        assert len(table) == 78497  # pi(10^6) counts 2 as well
+        assert table[:6] == [3, 5, 7, 11, 13, 17] and table[-1] == 999983
+        assert table == sorted(set(table))
+        rng = random.Random(31)
+        assert all(is_prime(p) for p in rng.sample(table, 2000))
+
+    def test_importing_the_package_builds_no_prime_table(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import packpoly, packpoly.cli, packpoly.numtheory as nt; "
+            "print(nt._odd_primes.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        assert out.strip() == "0"
+
+
 class TestCrt:
     def test_listed(self):
         assert crt([(1, 8), (2, 3)]) == (17, 24)
@@ -259,3 +344,27 @@ class TestNonResiduePrime:
             nonresidue_prime(0, 8)
         with pytest.raises(ZeroInput):
             nonresidue_prime(-1, 0)
+
+
+class TestLeastNonResiduePrime:
+    def test_matches_euler_criterion_scan(self):
+        for D in range(-60, 61):
+            if D == 0 or is_square(D) is not None:
+                continue
+            for ell, exceed in ((1, None), (8, None), (8 * abs(D), None), (-5, 40)):
+                cert = least_nonresidue_prime(D, ell, exceed=exceed)
+                floor = abs(ell) if exceed is None else max(abs(ell), exceed)
+                assert cert.p == least_nonresidue_prime_by_euler(D, floor)
+                assert cert.holds()
+
+    def test_budget_exhaustion_is_loud(self):
+        assert least_nonresidue_prime(-1, 8).p == 11
+        # -1 is a residue mod 13 = 1 (mod 4), and 15 is composite
+        with pytest.raises(BudgetExhausted):
+            least_nonresidue_prime(-1, 12, budget=2)
+
+    def test_square_and_zero_inputs_rejected(self):
+        with pytest.raises(IsSquare):
+            least_nonresidue_prime(49, 8)
+        with pytest.raises(ZeroInput):
+            least_nonresidue_prime(-1, 0)

@@ -3,11 +3,14 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packpoly import (
     CantorMatch,
+    ModularGap,
     LinearSubject,
     QuadPoly2,
     StructuralFail,
@@ -67,6 +70,49 @@ class TestRoundTrip:
         assert f'"f": "{10**40}"' in text
         subject2, cert2 = document_from_json(text)
         assert subject2.f == 10**40
+        assert verify_document(subject2, cert2)
+
+    def test_pipeline_past_the_int_str_limit(self):
+        # 4,401 digits: past the interpreter's default conversion limit
+        F = QuadPoly2(1, 0, 1, 1, 1, 10**4400 + 1)
+        cert = classify(F)
+        assert isinstance(cert, ModularGap)
+        text = document_to_json(F, cert)
+        assert '"f": "1' + "0" * 4399 + '1"' in text
+        subject2, cert2 = document_from_json(text)
+        assert (subject2, cert2) == (F, cert)
+        assert verify_document(subject2, cert2)
+
+    def test_failure_identity_past_the_int_str_limit(self):
+        F = QuadPoly2(1, 0, 1, 1, 1, -(10**4400))
+        cert = classify(F)
+        assert isinstance(cert, StructuralFail)
+        assert cert.failures[0].name == "f_nonnegative"
+        assert "-1" + "0" * 4400 + " " in cert.failures[0].identity
+        subject2, cert2 = document_from_json(document_to_json(F, cert))
+        assert (subject2, cert2) == (F, cert)
+        assert verify_document(subject2, cert2)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        # D = b^2 - ac not a square: ModularGap, or StructuralFail for an
+        # indefinite part or a negative f; a square D with linear terms this
+        # large exhausts the witness search (ROADMAP item 3)
+        abc=st.sampled_from([(1, 0, 1), (2, 1, 3), (3, -1, 2), (1, 0, 2), (1, -2, 1)]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_coefficients_of_thousands_of_digits(self, abc, seed):
+        a, b, c = abc
+        rng = random.Random(seed)
+        # 4,001 to 10,500 digits each
+        d, e, f = (
+            rng.choice([1, -1]) * rng.randrange(10**4000, 10 ** rng.randint(4001, 10500))
+            for _ in range(3)
+        )
+        F = QuadPoly2(a, b, c, d + (a - d) % 2, e + (c - e) % 2, f)
+        cert = classify(F)
+        subject2, cert2 = document_from_json(document_to_json(F, cert))
+        assert (subject2, cert2) == (F, cert)
         assert verify_document(subject2, cert2)
 
     def test_null_witness_fields_survive(self):
