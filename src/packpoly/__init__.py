@@ -31,6 +31,7 @@ from .classifier import (
 )
 from .errors import (
     BudgetExhausted,
+    CrossCheckFailed,
     DimensionTooSmall,
     FactorizationTooHard,
     FrontierNotClosed,

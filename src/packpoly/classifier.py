@@ -22,6 +22,7 @@ from typing import Sequence, Union
 
 from .decimals import to_decimal
 from .errors import (
+    CrossCheckFailed,
     DimensionTooSmall,
     FactorizationTooHard,
     NotQuadratic,
@@ -494,7 +495,8 @@ def search_quadratics(
     a, c, f in [0, coeff_bound] and b, d, e in [-coeff_bound, coeff_bound],
     classifies each, and independently brute-force-verifies every match
     (injective on [0, region_bound]^2 and gap-free up to value_bound)
-    before reporting it.  Results are sorted by coefficient tuple.  Within
+    before reporting it; a match the brute force rejects raises
+    CrossCheckFailed.  Results are sorted by coefficient tuple.  Within
     one call, candidates with the same D = b^2 - ac and a share their
     ModularGap witness primes, each constructed once; nothing is kept
     between calls.
@@ -531,7 +533,7 @@ def search_quadratics(
                                 F, region_bound, value_bound
                             )
                             if not verdict.injective_on_box or verdict.gaps:
-                                raise SearchExhausted(
+                                raise CrossCheckFailed(
                                     f"classifier and brute force disagree on {F}"
                                 )
                             confirmed.append((F, cert))

@@ -31,6 +31,7 @@ from .classifier import (
 from .decimals import from_decimal, to_decimal
 from .errors import (
     BudgetExhausted,
+    CrossCheckFailed,
     FactorizationTooHard,
     FrontierNotClosed,
     PackpolyError,
@@ -379,6 +380,9 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except _INCONCLUSIVE as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except CrossCheckFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (PackpolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,11 +2,13 @@
 
 Python's str(n) and int(text) refuse numbers past the interpreter's
 int-to-str limit (4,300 digits by default since 3.11, and settable per
-process).  to_decimal and from_decimal give the same text and the same
-values at every size without reading or changing that limit.  Up to
-4,000 digits they are str and int; past that they split the number at a
-power of ten and convert the two halves, recursively.  This is the
-divide-and-conquer conversion of CPython 3.12's _pylong module.
+process, down to 640).  to_decimal and from_decimal give the same text
+and the same values at every size, under any limit, without reading or
+changing it.  Up to 4,000 digits they are str and int; past that, or
+where a caller's lower limit makes str or int refuse, they split the
+number at a power of ten and convert the two halves, recursively, in
+pieces of at most 600 digits.  This is the divide-and-conquer conversion
+of CPython 3.12's _pylong module.
 """
 
 from __future__ import annotations
@@ -16,20 +18,27 @@ import re
 # str and int convert this many digits under CPython's default limit.
 _PLAIN_DIGITS = 4000
 _PLAIN_BOUND = 10**_PLAIN_DIGITS
-_LONG_TOKEN = re.compile(r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*")
+# The split path's pieces, within any limit (CPython allows none below 640).
+_PIECE_DIGITS = 600
+# int's whitespace: what str.isspace accepts, less the separators \x1c-\x1f.
+_SPACE = r"[^\S\x1c-\x1f]*"
+_LONG_TOKEN = re.compile(_SPACE + r"([+-]?)([0-9]+(?:_[0-9]+)*)" + _SPACE)
 
 
 def to_decimal(n: int) -> str:
     """str(n), for an integer of any size."""
     if abs(n) < _PLAIN_BOUND:
-        return str(n)
+        try:
+            return str(n)
+        except ValueError:  # past a limit lowered by the caller
+            pass
     if n < 0:
         return "-" + to_decimal(-n)
     powers: dict[int, int] = {}
 
     def padded(m: int, width: int) -> str:
         # m < 10**width, written with exactly width digits
-        if width <= _PLAIN_DIGITS:
+        if width <= _PIECE_DIGITS:
             return str(m).zfill(width)
         half = width // 2
         if half not in powers:
@@ -45,11 +54,15 @@ def to_decimal(n: int) -> str:
 def from_decimal(text: str) -> int:
     """int(text), for decimal text of any length.
 
-    Past 4,000 characters the digits must be ASCII; sign, underscores
-    and surrounding whitespace follow int's rules.
+    Where int itself refuses the text, past 4,000 characters or past a
+    limit lowered by the caller, the digits must be ASCII; sign,
+    underscores and surrounding whitespace follow int's rules.
     """
     if len(text) <= _PLAIN_DIGITS:
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # malformed, or past a lowered limit
+            pass
     match = _LONG_TOKEN.fullmatch(text)
     if match is None:
         raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
@@ -58,7 +71,7 @@ def from_decimal(text: str) -> int:
     powers: dict[int, int] = {}
 
     def value(chunk: str) -> int:
-        if len(chunk) <= _PLAIN_DIGITS:
+        if len(chunk) <= _PIECE_DIGITS:
             return int(chunk)
         half = len(chunk) // 2
         if half not in powers:

@@ -53,6 +53,10 @@ class SearchExhausted(PackpolyError):
     """A bounded witness search found nothing within its configured box."""
 
 
+class CrossCheckFailed(PackpolyError):
+    """Two independent computations disagreed: a bug, not a spent budget."""
+
+
 class DimensionTooSmall(PackpolyError, ValueError):
     """Linear refutation needs at least two variables."""
 

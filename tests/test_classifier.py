@@ -1,5 +1,6 @@
 """Decision pipeline: frozen certificates, soundness sweeps, and the linear refuter."""
 
+import dataclasses
 import random
 import sys
 import time
@@ -31,10 +32,10 @@ from packpoly import (
     verify_certificate,
     verify_linear_collision,
 )
-from packpoly import classifier, numtheory
+from packpoly import bruteforce, classifier, numtheory
 from packpoly.classifier import _classify
 from packpoly.cli import cli_dispatch
-from packpoly.errors import DimensionTooSmall, FactorizationTooHard
+from packpoly.errors import CrossCheckFailed, DimensionTooSmall, FactorizationTooHard
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
 C2 = QuadPoly2(1, 1, 1, 3, 1, 0)
@@ -414,6 +415,22 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError):
             search_quadratics(-1, 10, 10)
 
+    def test_disagreement_with_the_brute_force_is_an_internal_error(
+        self, monkeypatch, capsys
+    ):
+        original = bruteforce.verify_quadratic_packing
+
+        def with_a_gap(F, box_bound, value_bound):
+            return dataclasses.replace(original(F, box_bound, value_bound), gaps=(7,))
+
+        monkeypatch.setattr(bruteforce, "verify_quadratic_packing", with_a_gap)
+        with pytest.raises(CrossCheckFailed, match="disagree") as raised:
+            search_quadratics(3, 60, 300)
+        assert not isinstance(raised.value, SearchExhausted)
+        argv = ["search-quadratics", "--coeff-bound", "3", "--box", "60", "--values", "300"]
+        assert cli_dispatch(argv) == 4
+        assert capsys.readouterr().err.startswith("internal error: ")
+
 
 def counting_nonresidue_prime(monkeypatch):
     calls = []
@@ -488,6 +505,7 @@ def test_small_candidates_never_build_the_prime_table(monkeypatch, capsys):
         raise AssertionError("the prime table was built")
 
     monkeypatch.setattr(numtheory, "_odd_primes", refuse)
+    monkeypatch.setattr(numtheory, "_prime_blocks", refuse)
     for F in sweep(3):
         classify(F)
     assert cli_dispatch(["classify", "1", "0", "1", "1", "1", "0"]) == 1

@@ -1,5 +1,6 @@
 """Number-theory helpers against the Euler-criterion oracle and known values."""
 
+import math
 import os
 import random
 import subprocess
@@ -29,6 +30,10 @@ from packpoly import (
     prime_in_ap,
     square_decompose,
 )
+
+
+P150 = 10**149 + 183  # primes, so D = -P150 * Q150 has no factor below 10^6
+Q150 = 2 * 10**149 + 801
 
 
 def euler_symbol(a, p):
@@ -190,6 +195,11 @@ def assert_matches_odd_trial(D, trial_limit):
 
 SMALL_PARTS = st.sampled_from([1, -1, 2, -4, 3, -9, 12, -45, 210, -(3**5) * 7**2])
 NEAR_MILLION = [p for p in range(10**6 - 400, 10**6 + 400) if is_prime(p)]
+# The table primes past the plain odd divisors, in the blocks square_decompose
+# screens with one gcd each: 305 blocks of 256 and a last one of 250.
+TABLE = [p for p in numtheory._odd_primes() if p > 1000]
+BLOCKS = [TABLE[i : i + 256] for i in range(0, len(TABLE), 256)]
+BLOCK_INDEX = st.sampled_from([0, 1, 2, 150, len(BLOCKS) - 2, len(BLOCKS) - 1])
 
 
 class TestSquareDecomposeAgainstOddTrial:
@@ -229,6 +239,71 @@ class TestSquareDecomposeAgainstOddTrial:
     def test_products_of_two_primes_near_the_default_limit(self, p, q, small):
         assert_matches_odd_trial(small * p * q, 10**6)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        i=BLOCK_INDEX,
+        last=st.booleans(),
+        exp=st.integers(1, 3),
+        j=BLOCK_INDEX,
+        other_last=st.booleans(),
+        other_exp=st.integers(0, 2),
+        small=SMALL_PARTS,
+    )
+    @example(i=0, last=False, exp=1, j=0, other_last=False, other_exp=0, small=1)
+    @example(i=305, last=True, exp=3, j=305, other_last=True, other_exp=0, small=-1)
+    @example(i=0, last=True, exp=2, j=1, other_last=False, other_exp=1, small=1)
+    @example(i=1, last=False, exp=2, j=2, other_last=True, other_exp=1, small=1)
+    def test_primes_at_block_boundaries(self, i, last, exp, j, other_last, other_exp, small):
+        p = BLOCKS[i][-1 if last else 0]
+        q = BLOCKS[j][-1 if other_last else 0]
+        assert_matches_odd_trial(small * p**exp * q**other_exp, 10**6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        i=BLOCK_INDEX,
+        picks=st.lists(st.integers(0, 249), min_size=2, max_size=3, unique=True),
+        exps=st.lists(st.integers(1, 2), min_size=3, max_size=3),
+        small=SMALL_PARTS,
+    )
+    def test_primes_sharing_a_block(self, i, picks, exps, small):
+        D = small
+        for k, exp in zip(picks, exps):
+            D *= BLOCKS[i][k] ** exp
+        assert_matches_odd_trial(D, 10**6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        i=BLOCK_INDEX,
+        k=st.integers(1, 248),
+        shift=st.sampled_from([-1, 0, 1]),
+        below=st.integers(0, 2),
+        above=st.integers(0, 2),
+        small=SMALL_PARTS,
+    )
+    @example(i=0, k=1, shift=0, below=1, above=2, small=1)  # raises
+    @example(i=0, k=1, shift=0, below=1, above=1, small=1)  # a prime cofactor
+    def test_trial_limit_inside_a_block(self, i, k, shift, below, above, small):
+        block = BLOCKS[i]
+        trial_limit = block[k] + shift
+        D = small * block[k - 1] ** below * block[k] ** below
+        for q in block[k + 1 : k + 1 + above]:
+            D *= q
+        assert_matches_odd_trial(D, trial_limit)
+
+    @settings(max_examples=30, deadline=None)
+    @given(i=BLOCK_INDEX, delta=st.integers(-60, 60), small=SMALL_PARTS)
+    @example(i=1, delta=0, small=1)  # the first prime squared
+    @example(i=1, delta=BLOCKS[0][-1] * BLOCKS[1][0] - BLOCKS[1][0] ** 2, small=1)
+    @example(i=len(BLOCKS) - 1, delta=-1, small=-1)
+    def test_cofactors_around_the_first_prime_of_a_block_squared(self, i, delta, small):
+        p = BLOCKS[i][0]
+        assert_matches_odd_trial(small * (p * p + delta), 10**6)
+
+    def test_blocks_cover_the_table_past_the_plain_divisors(self):
+        blocks = numtheory._prime_blocks()
+        assert [block for block, _ in blocks] == BLOCKS
+        assert all(product == math.prod(block) for block, product in blocks)
+
     def test_prime_table_holds_the_odd_primes_below_a_million(self):
         table = numtheory._odd_primes()
         assert len(table) == 78497  # pi(10^6) counts 2 as well
@@ -243,12 +318,13 @@ class TestSquareDecomposeAgainstOddTrial:
         env = {**os.environ, "PYTHONPATH": path}
         code = (
             "import packpoly, packpoly.cli, packpoly.numtheory as nt; "
-            "print(nt._odd_primes.cache_info().currsize)"
+            "print(*(f.cache_info().currsize for f in "
+            "(nt._odd_primes, nt._prime_blocks, nt._small_odd_primorial)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         ).stdout
-        assert out.strip() == "0"
+        assert out.split() == ["0", "0", "0"]
 
 
 class TestCrt:
@@ -357,11 +433,27 @@ class TestLeastNonResiduePrime:
                 assert cert.p == least_nonresidue_prime_by_euler(D, floor)
                 assert cert.holds()
 
+    @pytest.mark.parametrize("D", [-1, 2, -7, 13, -1000003 * 1000033, P150 * Q150])
+    def test_matches_euler_criterion_scan_past_the_plain_divisors(self, D):
+        for floor in [*range(990, 1011), 10**6, 10**30]:
+            cert = least_nonresidue_prime(D, 1, exceed=floor)
+            assert cert.p == least_nonresidue_prime_by_euler(D, floor), floor
+            assert cert.holds()
+
     def test_budget_exhaustion_is_loud(self):
         assert least_nonresidue_prime(-1, 8).p == 11
         # -1 is a residue mod 13 = 1 (mod 4), and 15 is composite
         with pytest.raises(BudgetExhausted):
             least_nonresidue_prime(-1, 12, budget=2)
+
+    @pytest.mark.parametrize("floor", [1000, 10**6, 10**30])
+    def test_budget_counts_every_odd_candidate_past_the_plain_divisors(self, floor):
+        D = -1000003 * 1000033
+        p = least_nonresidue_prime_by_euler(D, floor)
+        spent = (p - ((floor + 1) | 1)) // 2 + 1  # odd candidates up to p
+        assert least_nonresidue_prime(D, 1, budget=spent, exceed=floor).p == p
+        with pytest.raises(BudgetExhausted, match=f"among {spent - 1} odd candidates"):
+            least_nonresidue_prime(D, 1, budget=spent - 1, exceed=floor)
 
     def test_square_and_zero_inputs_rejected(self):
         with pytest.raises(IsSquare):

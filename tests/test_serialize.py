@@ -210,3 +210,23 @@ class TestPinnedDocuments:
             F = QuadPoly2(*coeffs)
             digest.update(document_to_json(F, classify(F)).encode())
         assert digest.hexdigest() == self.SMALL_BOX
+
+    # Candidates whose D = b^2 - ac reaches the prime table: no factor
+    # below 10^6 (the Jacobi-scan witness), or factors between 10^3 and
+    # 10^6, first and higher powers.  Digests of each document, taken
+    # before the table was screened in blocks.
+    BIG_D = {
+        (1000003, 0, 1000033, 1, 1, 0): "e9cc91eb5c9837a004ee5fb2716c2a60a971bbeb63ea577a1f30c8d3ed2a8433",
+        (10**149 + 183, 0, 2 * 10**149 + 801, 1, 1, 0): "bf498bf6c9615b458717749a8b50845e2a06eb7924ac9fa5b1a13ce35e3be005",
+        (1, 0, 1009 * 1013, 1, 1, 0): "a1ce4b41dc0d0ed6d15cbc1d36f991bced5a329ffcc3ce3ef60d5c18fc6ce5ea",
+        (1, 0, 7 * 999983**2, 1, 1, 0): "eb87ac3fb295a429e03411b9a0ba03c1f47128af4ed6db8e85d342b6b8a293b4",
+        (2, 0, 2 * 104729 * 1299709, 0, 0, 0): "883a88ddc7b76907870592996eb5ac4bd29914171a18ec357780fdb56e7cb320",
+        (1, 1, 1 + 2 * 1013 * 999983, 1, 1, 0): "fd51c31167ea1ea8f83b5989840a13e8a207bee5041bd8170d4f390154fec51c",
+        (1, 0, 3 * 1009**3, 1, 1, 0): "81b99acfe85b26611747f5752d46db05d9c2883089a54c52f1b68babac94cd46",
+    }
+
+    @pytest.mark.parametrize("coeffs", list(BIG_D), ids=range(len(BIG_D)))
+    def test_big_d_documents_are_byte_identical(self, coeffs):
+        F = QuadPoly2(*coeffs)
+        digest = hashlib.sha256(document_to_json(F, classify(F)).encode())
+        assert digest.hexdigest() == self.BIG_D[coeffs]
