@@ -24,17 +24,11 @@ from .decimals import to_decimal
 from .errors import (
     CrossCheckFailed,
     DimensionTooSmall,
-    FactorizationTooHard,
     NotQuadratic,
     PackpolyError,
     SearchExhausted,
 )
-from .numtheory import (
-    NonResidueCertificate,
-    is_square,
-    least_nonresidue_prime,
-    nonresidue_prime,
-)
+from .numtheory import NonResidueCertificate, is_square, nonresidue_prime
 from .quadratic import (
     CANTOR1,
     CANTOR2,
@@ -119,28 +113,23 @@ Certificate = Union[Collision, Gap, ModularGap, StructuralFail, CantorMatch]
 # classification
 
 
-def classify(
-    F: QuadPoly2,
-    *,
-    max_diagonal: int = 600,
-    budget: int = 10**6,
-) -> Certificate:
+def classify(F: QuadPoly2, *, max_diagonal: int = 600) -> Certificate:
     """Decide whether F packs N0^2, producing a certificate either way.
 
     Pipeline: structural validation, positivity of the quadratic part
-    included; modular refutation when D = b^2 - ac is not a square,
-    whether or not D can be factored; exact coefficient match against
-    the two Cantor tuples; bounded witness search (collision / gap /
-    negative value) for everything else.
+    included; modular refutation when D = b^2 - ac is not a square, of
+    any size, with a witness prime from nonresidue_prime; exact
+    coefficient match against the two Cantor tuples; witness search
+    (collision / gap / negative value) over at most max_diagonal + 1
+    diagonals for everything else, raising SearchExhausted past them.
     """
-    return _classify(F, max_diagonal=max_diagonal, budget=budget, primes={})
+    return _classify(F, max_diagonal=max_diagonal, primes={})
 
 
 def _classify(
     F: QuadPoly2,
     *,
     max_diagonal: int,
-    budget: int,
     primes: _WitnessPrimes,
 ) -> Certificate:
     """classify(F), reusing the witness primes already found in `primes`.
@@ -158,7 +147,7 @@ def _classify(
 
     D = F.b * F.b - F.a * F.c
     if is_square(D) is None:
-        return _modular_gap(F, D, budget, primes)
+        return _modular_gap(F, D, primes)
 
     if F.as_tuple() == CANTOR1.as_tuple():
         return CantorMatch(1)
@@ -170,37 +159,23 @@ def _classify(
     return _witness_search(F, max_diagonal)
 
 
-def _modular_gap(
-    F: QuadPoly2,
-    D: int,
-    budget: int,
-    primes: _WitnessPrimes,
-) -> ModularGap:
+def _modular_gap(F: QuadPoly2, D: int, primes: _WitnessPrimes) -> ModularGap:
     """The ModularGap certificate for F, whose D = b^2 - ac is not a square.
 
-    Each witness prime comes from nonresidue_prime, which factors D by
-    trial division.  Where that raises FactorizationTooHard, the least
-    prime above the same floor with (D/p) = -1 is found by a Jacobi scan
-    instead, for that floor and every retry after it, so D is trial-divided
-    at most once per call.  The verifier accepts either prime, and both are
-    cached in `primes` under the same key.
+    Each witness prime comes from one nonresidue_prime call, above 8a at
+    first and above the previous prime on each retry, and is cached in
+    `primes` under (D, 8a, floor).  A retry asks nonresidue_prime again,
+    so it factors D again (or scans again where D has no factor below
+    10^6); retries are rare.
     """
     ell = 8 * F.a  # a >= 1 past the definiteness stage, so ell != 0
     r = square_completion(F).r
     floor = None
-    unfactored = False
     while True:
         key = (D, ell, floor)
         witness = primes.get(key)
         if witness is None:
-            if not unfactored:
-                try:
-                    witness = nonresidue_prime(D, ell, budget=budget, exceed=floor)
-                except FactorizationTooHard:
-                    unfactored = True
-            if unfactored:
-                witness = least_nonresidue_prime(D, ell, budget=budget, exceed=floor)
-            primes[key] = witness
+            witness = primes[key] = nonresidue_prime(D, ell, exceed=floor)
         p = witness.p
         # p > 8a and (D/p) = -1 give gcd(8aD, p) = 1, so the inverse exists.
         # Attained values congruent to s mod p all fall in one class mod
@@ -485,21 +460,18 @@ def search_quadratics(
     coeff_bound: int,
     region_bound: int,
     value_bound: int,
-    *,
-    max_diagonal: int = 600,
-    budget: int = 10**6,
 ) -> list[tuple[QuadPoly2, Certificate]]:
     """All packing polynomials with |coefficients| <= coeff_bound.
 
     Enumerates every candidate satisfying the parity constraints with
     a, c, f in [0, coeff_bound] and b, d, e in [-coeff_bound, coeff_bound],
-    classifies each, and independently brute-force-verifies every match
-    (injective on [0, region_bound]^2 and gap-free up to value_bound)
-    before reporting it; a match the brute force rejects raises
-    CrossCheckFailed.  Results are sorted by coefficient tuple.  Within
-    one call, candidates with the same D = b^2 - ac and a share their
-    ModularGap witness primes, each constructed once; nothing is kept
-    between calls.
+    classifies each as classify(F) does, and independently
+    brute-force-verifies every match (injective on [0, region_bound]^2
+    and gap-free up to value_bound) before reporting it; a match the
+    brute force rejects raises CrossCheckFailed.  Results are sorted by
+    coefficient tuple.  Within one call, candidates with the same
+    D = b^2 - ac and a share their ModularGap witness primes, each found
+    once; nothing is kept between calls.
     """
     from .bruteforce import verify_quadratic_packing
 
@@ -521,12 +493,7 @@ def search_quadratics(
                             continue
                         for f in range(0, B + 1):
                             F = QuadPoly2(a, b, c, d, e, f)
-                            cert = _classify(
-                                F,
-                                max_diagonal=max_diagonal,
-                                budget=budget,
-                                primes=primes,
-                            )
+                            cert = _classify(F, max_diagonal=600, primes=primes)
                             if not isinstance(cert, CantorMatch):
                                 continue
                             verdict = verify_quadratic_packing(

@@ -32,7 +32,6 @@ from .decimals import from_decimal, to_decimal
 from .errors import (
     BudgetExhausted,
     CrossCheckFailed,
-    FactorizationTooHard,
     FrontierNotClosed,
     PackpolyError,
     SearchExhausted,
@@ -50,12 +49,7 @@ from .quadratic import QuadPoly2, region_counts
 from .sector import SectorSpec, sector_evaluate, sector_unpack
 from .serialize import document_to_json, document_from_json, make_document, verify_document
 
-_INCONCLUSIVE = (
-    BudgetExhausted,
-    FactorizationTooHard,
-    FrontierNotClosed,
-    SearchExhausted,
-)
+_INCONCLUSIVE = (BudgetExhausted, FrontierNotClosed, SearchExhausted)
 
 
 def _point(p: Sequence[int]) -> str:

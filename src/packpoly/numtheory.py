@@ -2,15 +2,16 @@
 
 Jacobi/Legendre symbols, square-free decomposition by trial division,
 Chinese remaindering, a budgeted prime search in arithmetic progressions,
-and two ways to find a prime modulo which a given non-square is a
-quadratic non-residue: by construction from the factors, or by a scan
-that needs none.  All arithmetic is arbitrary-precision integer.
+and a prime modulo which a given non-square is a quadratic non-residue:
+nonresidue_prime constructs it from the factors, and where trial division
+cannot finish, returns least_nonresidue_prime's scan, which needs none.
+All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -151,30 +152,23 @@ def _prime_blocks() -> list[tuple[list[int], int]]:
     return [(block, prod(block)) for block in blocks]
 
 
-def _trial_runs(limit: int) -> Iterator[tuple[Sequence[int], int]]:
-    """Ascending runs of odd divisors up to limit that include every odd prime.
+def _trial_runs() -> Iterator[tuple[Sequence[int], int]]:
+    """Ascending runs of odd divisors below 10^6 that include every odd prime.
 
     Each run comes with a product of primes that includes all of the
     run's, or 0 when the run must be tried whole: plain odd numbers below
-    _PLAIN_TRIAL, then the blocks of table primes (the last one cut at
-    limit, but with its whole product), then plain odd numbers past the
-    table.  A composite divisor never divides what its smaller prime
-    factors have left, so it only costs a step.
+    _PLAIN_TRIAL, then the blocks of table primes.  A composite divisor
+    never divides what its smaller prime factors have left, so it only
+    costs a step.
     """
-    yield range(3, min(limit + 1, _PLAIN_TRIAL), 2), 0
-    if limit < _PLAIN_TRIAL:
-        return
-    for block, product in _prime_blocks():
-        if block[0] > limit:
-            return
-        yield (block if block[-1] <= limit else block[: bisect_right(block, limit)]), product
-    yield range(_PRIME_TABLE_LIMIT + 1, limit + 1, 2), 0
+    yield range(3, _PLAIN_TRIAL, 2), 0
+    yield from _prime_blocks()
 
 
-def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
+def square_decompose(D: int) -> SquareDecomposition:
     """Factor D into sign, power of two, square part, and square-free odd part.
 
-    Trial division by every odd prime up to trial_limit, ascending, until
+    Trial division by every odd prime below 10^6, ascending, until
     the divisor's square exceeds what is left.  Divisors below 1,000 are
     plain odd numbers.  Past that they come from a table of the odd
     primes below 10^6, built once per process on first use together with
@@ -183,9 +177,8 @@ def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
     256 divisions that would all fail; only blocks that share a factor
     with n are trial-divided.  This is the batched-gcd idea of Bernstein,
     "How to find smooth parts of integers" (2004).  When the cofactor
-    left after every prime up to trial_limit is at least d^2, for d the
-    least odd number above trial_limit, it may be composite: that raises
-    FactorizationTooHard rather than stalling.
+    left after every prime below 10^6 is at least (10^6 + 1)^2, it may be
+    composite: that raises FactorizationTooHard rather than stalling.
     """
     if D == 0:
         raise ZeroInput("cannot decompose zero")
@@ -198,7 +191,7 @@ def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
     m = 1 << (e2 // 2)
     beta = e2 & 1
     odd: list[int] = []
-    for run, product in _trial_runs(trial_limit):
+    for run, product in _trial_runs():
         if product and run[0] * run[0] <= n and gcd(product % n, n) == 1:
             continue  # no prime of the run divides n
         for d in run:
@@ -216,10 +209,10 @@ def square_decompose(D: int, trial_limit: int = 10**6) -> SquareDecomposition:
             continue
         break  # what is left has no factor below d, so it is 1 or a prime
     else:
-        d = max(3, (trial_limit + 1) | 1)
-        if d * d <= n:
+        if (_PRIME_TABLE_LIMIT + 1) ** 2 <= n:
             raise FactorizationTooHard(
-                f"no factor of remaining cofactor {to_decimal(n)} below {trial_limit}"
+                f"no factor of remaining cofactor {to_decimal(n)} "
+                f"below {_PRIME_TABLE_LIMIT}"
             )
     if n > 1:
         odd.append(n)  # prime cofactor, first power
@@ -295,8 +288,6 @@ def _require_nonsquare(D: int, ell: int) -> None:
 def nonresidue_prime(
     D: int,
     ell: int,
-    budget: int = 10**6,
-    trial_limit: int = 10**6,
     exceed: int | None = None,
 ) -> NonResidueCertificate:
     """A prime p > |ell| modulo which D is a quadratic non-residue.
@@ -307,15 +298,21 @@ def nonresidue_prime(
     (mod 8), p = r_1 (mod q_1) for a non-residue r_1, and p = 1 (mod q_i)
     for the rest, combined by remaindering.  Any prime found in that class
     has (D/p) = -1 by multiplicativity and reciprocity, except primes
-    dividing the square part m, which are skipped.
+    dividing the square part m, which are skipped.  Where square_decompose
+    cannot factor D (FactorizationTooHard), the answer is
+    least_nonresidue_prime's instead, found without factors.
 
-    Exists for every non-square D (raises IsSquare otherwise); the class
-    search is bounded by budget candidates per scan.  `exceed` raises the
-    floor above the default |ell|, letting callers ask for the next
-    witness prime when the smallest one does not suit them.
+    Exists for every non-square D of any size (raises IsSquare
+    otherwise); either search raises BudgetExhausted past its default
+    budget of 10^6 candidates.  `exceed` raises the floor above the
+    default |ell|, letting callers ask for the next witness prime when
+    the smallest one does not suit them.
     """
     _require_nonsquare(D, ell)
-    dec = square_decompose(D, trial_limit)
+    try:
+        dec = square_decompose(D)
+    except FactorizationTooHard:
+        return least_nonresidue_prime(D, ell, exceed=exceed)
     if not dec.odd_primes:
         # D = -m^2 (beta = 0 forces alpha = 1 here) or D = +-2 m^2.
         s, M = (3, 4) if dec.beta == 0 else (5, 8)
@@ -326,7 +323,7 @@ def nonresidue_prime(
         s, M = crt(parts)
     floor = abs(ell) if exceed is None else max(abs(ell), exceed)
     while True:
-        p = prime_in_ap(s, M, floor, budget)
+        p = prime_in_ap(s, M, floor)
         if D % p != 0:
             break
         floor = p  # p divides the square part of D; (D/p) would be 0
@@ -347,12 +344,12 @@ def least_nonresidue_prime(
 ) -> NonResidueCertificate:
     """The least prime p > |ell| (and > exceed) with (D/p) = -1.
 
-    Scans the odd numbers upward without factoring D, so it also serves
-    a D that square_decompose cannot factor within its trial limit.  A
-    candidate of at least 1,000 that shares a factor with the product of
-    the odd primes below 1,000 is composite and dropped at the cost of
-    one gcd, as in square_decompose's block screen (Bernstein 2004); that
-    leaves about one odd candidate in six.  The Jacobi symbol, cheap and
+    Scans the odd numbers upward without factoring D, so nonresidue_prime
+    returns it for a D that square_decompose cannot factor.  A candidate
+    of at least 1,000 that shares a factor with the product of the odd
+    primes below 1,000 is composite and dropped at the cost of one gcd,
+    as in square_decompose's block screen (Bernstein 2004); that leaves
+    about one odd candidate in six.  The Jacobi symbol, cheap and
     -1 for about half the rest, is tested before primality; for a prime p
     it is the Legendre symbol.  Raises BudgetExhausted after budget odd
     candidates.

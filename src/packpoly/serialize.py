@@ -234,16 +234,24 @@ def document_to_json(subject: Subject, cert: Certificate) -> str:
 
 
 def document_from_json(text: str) -> tuple[Subject, Certificate]:
-    node = json.loads(text)
-    if not isinstance(node, dict):
-        raise ValueError("document must be a JSON object")
-    if node.get("format") != FORMAT:
-        raise ValueError(f"unknown document format {node.get('format')!r}")
-    if node.get("version") != VERSION:
-        raise ValueError(f"unsupported document version {node.get('version')!r}")
-    return decode_subject(node.get("subject")), decode_certificate(
-        node.get("certificate")
-    )
+    """Parse and decode a document; any malformed one raises ValueError.
+
+    That includes nesting too deep for the parser or for the repr in an
+    error message, which Python reports as RecursionError.
+    """
+    try:
+        node = json.loads(text)
+        if not isinstance(node, dict):
+            raise ValueError("document must be a JSON object")
+        if node.get("format") != FORMAT:
+            raise ValueError(f"unknown document format {node.get('format')!r}")
+        if node.get("version") != VERSION:
+            raise ValueError(f"unsupported document version {node.get('version')!r}")
+        return decode_subject(node.get("subject")), decode_certificate(
+            node.get("certificate")
+        )
+    except RecursionError:
+        raise ValueError("document is nested too deeply") from None
 
 
 def verify_document(subject: Subject, cert: Certificate) -> bool:

@@ -448,7 +448,7 @@ class TestWitnessPrimeCache:
     def test_shared_cache_changes_no_certificate(self):
         primes = {}
         for F in sweep(3):
-            cert = _classify(F, max_diagonal=600, budget=10**6, primes=primes)
+            cert = _classify(F, max_diagonal=600, primes=primes)
             assert cert == classify(F), F
         # retry primes, found above a previous p, are cached as well
         assert any(floor is not None for _, _, floor in primes)
@@ -471,27 +471,25 @@ class TestWitnessPrimeCache:
         F = QuadPoly2(1000003, 0, 1000033, 1, 1, 0)
         key = (-1000003 * 1000033, 8 * 1000003, None)
         primes = {}
-        cert = _classify(F, max_diagonal=600, budget=10**6, primes=primes)
+        cert = _classify(F, max_diagonal=600, primes=primes)
         assert isinstance(cert, ModularGap)
         assert list(primes) == [key]
         assert primes[key] == cert.witness
         assert verify_certificate(F, cert)
 
-    def test_retries_after_a_failed_factorization_go_straight_to_the_scan(
-        self, monkeypatch
-    ):
+    def test_unfactored_retries_factor_again_and_take_the_scan(self, monkeypatch):
         calls = []
 
-        def too_hard(*args, **kwargs):
-            calls.append(args)
+        def too_hard(D):
+            calls.append(D)
             raise FactorizationTooHard("planted")
 
-        monkeypatch.setattr(classifier, "nonresidue_prime", too_hard)
+        monkeypatch.setattr(numtheory, "square_decompose", too_hard)
         # D = -2: the scan's first prime, 13, is the lift's own class
         F = QuadPoly2(1, -1, 3, -3, -1, 0)
         primes = {}
-        cert = _classify(F, max_diagonal=600, budget=10**6, primes=primes)
-        assert len(calls) == 1
+        cert = _classify(F, max_diagonal=600, primes=primes)
+        assert calls == [-2, -2]  # one factoring attempt per witness prime
         assert {key: w.p for key, w in primes.items()} == {
             (-2, 8, None): 13,
             (-2, 8, 13): 23,

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, stdout contracts, JSON pipelines."""
 
+import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -121,6 +123,28 @@ class TestClassifyCommand:
         )
         assert (code, out.splitlines()[0], err) == (1, "ModularGap", "")
 
+    def test_b4_box_output_is_byte_identical(self, capsys):
+        # SHA-256 over the 23,680 B=4 candidates (search_quadratics' order)
+        # of each exit code and newline, then the `classify --json` stdout;
+        # taken at commit 93462c4.
+        B = 4
+        digest = hashlib.sha256()
+        count = 0
+        for a, b, c, d, e, f in itertools.product(
+            range(B + 1), range(-B, B + 1), range(B + 1),
+            range(-B, B + 1), range(-B, B + 1), range(B + 1),
+        ):
+            if (a, b, c) == (0, 0, 0) or (a - d) % 2 or (c - e) % 2:
+                continue
+            coeffs = map(str, (a, b, c, d, e, f))
+            code, out, _ = run_cli(capsys, "classify", "--json", "--", *coeffs)
+            digest.update(f"{code}\n{out}".encode())
+            count += 1
+        assert count == 23680
+        assert digest.hexdigest() == (
+            "5ff5f21382ed208839d8737f3bf6df282ee2d66b5085913c87f634a6acdc91d9"
+        )
+
 
 class TestCertificatePipeline:
     def classify_json(self, capsys, *coeffs):
@@ -159,6 +183,16 @@ class TestCertificatePipeline:
         code, out, _ = run_cli(capsys, "verify-cert", "-")
         assert code == 1
         assert out.startswith("invalid")
+
+    def test_deeply_nested_document_reports_invalid(self, capsys, monkeypatch):
+        _, text = self.classify_json(capsys, "1", "1", "1", "1", "1", "0")
+        document = json.loads(text)
+        document["certificate"]["value"] = "@"
+        nested = json.dumps(document).replace('"@"', "[" * 100000 + "]" * 100000)
+        for stdin in ("[" * 200000, nested):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            code, out, err = run_cli(capsys, "verify-cert", "-")
+            assert (code, out, err) == (1, "invalid: document is nested too deeply\n", "")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify-cert", str(tmp_path / "absent.json"))
@@ -356,12 +390,15 @@ class TestNumberTheoryCommands:
         code, out, _ = run_cli(capsys, "nonresidue-prime", "2", "8")
         assert (code, out.strip()) == (0, "13")
 
-    def test_factorization_budget_is_inconclusive(self, capsys):
+    def test_discriminant_past_the_trial_bound_gets_a_prime(self, capsys):
+        # D = -1000003 * 1000033 has no prime factor below the trial bound
         code, out, err = run_cli(capsys, "nonresidue-prime", "--", "-1000036000099", "8")
-        assert (code, out) == (3, "")
-        assert err == (
-            "inconclusive: no factor of remaining cofactor 1000036000099 below 1000000\n"
+        assert (code, out, err) == (0, "11\n", "")
+        # the witness prime in classify's certificate for (1000003, 0, 1000033, 1, 1, 0)
+        code, out, err = run_cli(
+            capsys, "nonresidue-prime", "--", "-1000036000099", "8000024"
         )
+        assert (code, out, err) == (0, "8000033\n", "")
 
     def test_square_discriminant_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "nonresidue-prime", "9", "1")

@@ -166,7 +166,7 @@ class TestSquareDecompose:
     def test_oversized_factors_reported(self):
         big_prime = 2**89 - 1
         with pytest.raises(FactorizationTooHard):
-            square_decompose(big_prime * big_prime * 3, trial_limit=10**4)
+            square_decompose(big_prime * big_prime * 3)
 
     def test_square_free_part_times_square(self):
         rng = random.Random(19)
@@ -179,17 +179,17 @@ class TestSquareDecompose:
             assert squarefree * dec.m**2 == D
 
 
-def decompose_outcome(decompose, D, trial_limit):
+def decompose_outcome(decompose, D):
     """The decomposition, or the FactorizationTooHard message."""
     try:
-        return decompose(D, trial_limit)
+        return decompose(D)
     except FactorizationTooHard as exc:
         return f"FactorizationTooHard: {exc}"
 
 
-def assert_matches_odd_trial(D, trial_limit):
-    assert decompose_outcome(square_decompose, D, trial_limit) == decompose_outcome(
-        square_decompose_by_odd_trial, D, trial_limit
+def assert_matches_odd_trial(D):
+    assert decompose_outcome(square_decompose, D) == decompose_outcome(
+        square_decompose_by_odd_trial, D
     )
 
 
@@ -203,32 +203,24 @@ BLOCK_INDEX = st.sampled_from([0, 1, 2, 150, len(BLOCKS) - 2, len(BLOCKS) - 1])
 
 
 class TestSquareDecomposeAgainstOddTrial:
-    """Trial division by primes gives the odd-number loop's answer, raise included."""
+    """Trial division by primes below 10^6 gives the odd-number loop's
+    answer, raise included."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        D=st.integers(-(10**12), 10**12).filter(bool),
-        trial_limit=st.sampled_from(
-            [1, 2, 3, 997, 999, 1000, 1009, 10**4, 10**4 + 1, 10**6]
-        ),
-    )
-    @example(D=1009 * 1013, trial_limit=1009)  # a prime limit, reached
-    def test_random_d(self, D, trial_limit):
-        assert_matches_odd_trial(D, trial_limit)
+    @given(D=st.integers(-(10**12), 10**12).filter(bool))
+    @example(D=1009 * 1013)
+    def test_random_d(self, D):
+        assert_matches_odd_trial(D)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        trial_limit=st.sampled_from([10**4, 10**4 + 1]),
-        delta=st.integers(-60, 60),
-        small=SMALL_PARTS,
-    )
-    @example(trial_limit=10**4, delta=10007**2 - 10001**2, small=1)  # a prime squared
-    @example(trial_limit=10**4 + 1, delta=0, small=-1)
-    def test_cofactors_around_the_first_odd_past_the_limit_squared(
-        self, trial_limit, delta, small
-    ):
-        d = (trial_limit + 1) | 1  # 10001 = 73 * 137, or 10003
-        assert_matches_odd_trial(small * (d * d + delta), trial_limit)
+    @given(delta=st.integers(-90, 60), small=SMALL_PARTS)
+    @example(delta=1000003**2 - 1000001**2, small=1)  # a prime squared
+    @example(delta=0, small=-1)
+    @example(delta=-84, small=1)  # the last prime below d^2: no raise
+    @example(delta=6, small=-1)  # the first prime above d^2: raises
+    def test_cofactors_around_the_first_odd_past_the_limit_squared(self, delta, small):
+        d = 1000001  # = 101 * 9901, the first odd number past 10^6
+        assert_matches_odd_trial(small * (d * d + delta))
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -237,7 +229,7 @@ class TestSquareDecomposeAgainstOddTrial:
         small=SMALL_PARTS,
     )
     def test_products_of_two_primes_near_the_default_limit(self, p, q, small):
-        assert_matches_odd_trial(small * p * q, 10**6)
+        assert_matches_odd_trial(small * p * q)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -256,7 +248,7 @@ class TestSquareDecomposeAgainstOddTrial:
     def test_primes_at_block_boundaries(self, i, last, exp, j, other_last, other_exp, small):
         p = BLOCKS[i][-1 if last else 0]
         q = BLOCKS[j][-1 if other_last else 0]
-        assert_matches_odd_trial(small * p**exp * q**other_exp, 10**6)
+        assert_matches_odd_trial(small * p**exp * q**other_exp)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -269,26 +261,7 @@ class TestSquareDecomposeAgainstOddTrial:
         D = small
         for k, exp in zip(picks, exps):
             D *= BLOCKS[i][k] ** exp
-        assert_matches_odd_trial(D, 10**6)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        i=BLOCK_INDEX,
-        k=st.integers(1, 248),
-        shift=st.sampled_from([-1, 0, 1]),
-        below=st.integers(0, 2),
-        above=st.integers(0, 2),
-        small=SMALL_PARTS,
-    )
-    @example(i=0, k=1, shift=0, below=1, above=2, small=1)  # raises
-    @example(i=0, k=1, shift=0, below=1, above=1, small=1)  # a prime cofactor
-    def test_trial_limit_inside_a_block(self, i, k, shift, below, above, small):
-        block = BLOCKS[i]
-        trial_limit = block[k] + shift
-        D = small * block[k - 1] ** below * block[k] ** below
-        for q in block[k + 1 : k + 1 + above]:
-            D *= q
-        assert_matches_odd_trial(D, trial_limit)
+        assert_matches_odd_trial(D)
 
     @settings(max_examples=30, deadline=None)
     @given(i=BLOCK_INDEX, delta=st.integers(-60, 60), small=SMALL_PARTS)
@@ -297,7 +270,7 @@ class TestSquareDecomposeAgainstOddTrial:
     @example(i=len(BLOCKS) - 1, delta=-1, small=-1)
     def test_cofactors_around_the_first_prime_of_a_block_squared(self, i, delta, small):
         p = BLOCKS[i][0]
-        assert_matches_odd_trial(small * (p * p + delta), 10**6)
+        assert_matches_odd_trial(small * (p * p + delta))
 
     def test_blocks_cover_the_table_past_the_plain_divisors(self):
         blocks = numtheory._prime_blocks()
@@ -412,6 +385,15 @@ class TestNonResiduePrime:
                 assert legendre(D, cert.p) == -1
                 assert ell % cert.p != 0
                 assert cert.p > abs(ell)
+
+    @pytest.mark.parametrize("D", [-1000003 * 1000033, -P150 * Q150])
+    def test_unfactorable_d_gets_the_least_nonresidue_prime(self, D):
+        with pytest.raises(FactorizationTooHard):
+            square_decompose(D)
+        for exceed in (None, 7, 10**6, 8000033, 10**30):
+            assert nonresidue_prime(D, 8, exceed) == least_nonresidue_prime(
+                D, 8, exceed=exceed
+            )
 
     def test_square_and_zero_inputs_rejected(self):
         with pytest.raises(IsSquare):

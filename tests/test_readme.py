@@ -20,7 +20,10 @@ def test_readme_has_python_examples():
     assert len(BLOCKS) >= 4
 
 
-@pytest.mark.parametrize("lineno,block", BLOCKS, ids=[f"line{n + 1}" for n, _ in BLOCKS])
+# Named by order, so an edit above an example renames no test.
+@pytest.mark.parametrize(
+    "lineno,block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))]
+)
 def test_python_block(lineno, block):
     name = f"README.md:{lineno + 1}"
     test = doctest.DocTestParser().get_doctest(block, {}, name, str(README), lineno)
