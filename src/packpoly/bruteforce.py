@@ -6,17 +6,19 @@ that every point outside the region takes values beyond the range under
 inspection; that certificate is the frontier bound, and the verdict
 records which bound made the check conclusive.
 
-verify_packing_bruteforce takes the region as the points it holds and the
-frontier as a number; verify_quadratic_packing and verify_sector_packing
-compute both for the quadrant and for sectors.
+verify_packing_bruteforce takes the region as the points it holds, the
+function as its values at those points, and the frontier as a number;
+verify_quadratic_packing and verify_sector_packing compute all three for
+the quadrant and for sectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .classifier import Collision
+from .decimals import to_decimal
 from .errors import FrontierNotClosed
 from .quadratic import QuadPoly2, quadrant_outside_min, validate
 from .sector import (
@@ -25,6 +27,7 @@ from .sector import (
     sector_enumerate,
     sector_evaluate,
     sector_tail_min,
+    sector_values,
 )
 
 PointM = tuple[int, ...]
@@ -52,36 +55,50 @@ class PackingVerdict:
 
 
 def verify_packing_bruteforce(
-    evaluator: Callable[[PointM], int],
-    points: Iterable[PointM],
+    points: Sequence[PointM],
+    values: Sequence[int],
     value_bound: int,
     frontier: int,
 ) -> PackingVerdict:
     """Check injectivity and gap-freeness over an enumerated region.
 
     points must hold every domain point of the region, each exactly
-    once, and frontier must be a proven lower bound for the evaluator on
-    every domain point outside it.  When frontier fails to clear
-    value_bound the check is inconclusive and FrontierNotClosed is
-    raised: a larger region (or smaller value range) is needed, and
-    silence would be indistinguishable from confirmation.
+    once, values[i] is the function's value at points[i], and frontier
+    must be a proven lower bound for the function on every domain point
+    outside the region.  When frontier fails to clear value_bound the
+    check is inconclusive and FrontierNotClosed is raised: a larger
+    region (or smaller value range) is needed, and silence would be
+    indistinguishable from confirmation.
+
+    A collision reports the first repeated value in point order, with
+    the first point that attained it.
     """
     if value_bound < 0:
-        raise ValueError(f"value bound must be nonnegative, got {value_bound}")
+        raise ValueError(
+            f"value bound must be nonnegative, got {to_decimal(value_bound)}"
+        )
     if frontier <= value_bound:
         raise FrontierNotClosed(
-            f"outside lower bound {frontier} does not exceed value bound "
-            f"{value_bound}; enlarge the region to certify gaps"
+            f"outside lower bound {to_decimal(frontier)} does not exceed value "
+            f"bound {to_decimal(value_bound)}; enlarge the region to certify gaps"
         )
-    seen: dict[int, PointM] = {}
+    if len(points) != len(values):
+        raise ValueError(
+            f"{len(points)} points but {len(values)} values; need one value per point"
+        )
+    attained = set(values)
     collision: Optional[Collision] = None
-    for pt in points:
-        v = evaluator(pt)
-        if collision is None and v in seen:
-            collision = Collision(p1=seen[v], p2=pt, value=v)
-        else:
-            seen.setdefault(v, pt)
-    gaps = tuple(v for v in range(value_bound + 1) if v not in seen)
+    if len(attained) < len(values):
+        seen: dict[int, PointM] = {}
+        for pt, v in zip(points, values):
+            if v in seen:
+                collision = Collision(p1=seen[v], p2=pt, value=v)
+                break
+            seen[v] = pt
+    if attained.issuperset(range(value_bound + 1)):
+        gaps: tuple[int, ...] = ()
+    else:
+        gaps = tuple(v for v in range(value_bound + 1) if v not in attained)
     return PackingVerdict(
         injective_on_box=collision is None,
         collision=collision,
@@ -112,9 +129,10 @@ def verify_quadratic_packing(
     failures = validate(F)
     if failures:
         raise ValueError(f"{F} fails {failures[0].name}")
+    points = list(quadrant_box_points(box_bound))
     return verify_packing_bruteforce(
-        lambda pt: F.evaluate(*pt),
-        quadrant_box_points(box_bound),
+        points,
+        [F.evaluate(x, y) for x, y in points],
         value_bound,
         quadrant_outside_min(F, box_bound),
     )
@@ -137,9 +155,12 @@ def verify_sector_packing(
     drops by B(q) - B(q - d) >= d, while the offset along the segment,
     y for the lower polynomial and rq - y for the upper, rises by at
     most one.
+
+    The prefix's values are read off in segment form in one pass, with
+    no membership test: sector_enumerate yields sector points only.
     """
     if min_points < 1:
-        raise ValueError(f"need at least one point, got {min_points}")
+        raise ValueError(f"need at least one point, got {to_decimal(min_points)}")
     points = sector_enumerate(spec, min_points)
     x_cut, y_cut = points[-1]
     top = spec.r * x_cut // spec.s
@@ -147,8 +168,5 @@ def verify_sector_packing(
     if y_cut < top:
         frontier = min(frontier, sector_evaluate(spec, which, x_cut, top))
     return verify_packing_bruteforce(
-        lambda pt: sector_evaluate(spec, which, *pt),
-        points,
-        frontier - 1,
-        frontier,
+        points, sector_values(spec, which, points), frontier - 1, frontier
     )

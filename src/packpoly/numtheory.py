@@ -62,7 +62,7 @@ def is_prime(n: int) -> bool:
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n, by binary reciprocity."""
     if n <= 0 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs odd positive n, got {n}")
+        raise ValueError(f"Jacobi symbol needs odd positive n, got {to_decimal(n)}")
     a %= n
     result = 1
     while a:
@@ -85,7 +85,7 @@ def legendre(a: int, p: int) -> int:
     against misuse on composite or even moduli.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotOddPrime(f"modulus must be an odd prime, got {p}")
+        raise NotOddPrime(f"modulus must be an odd prime, got {to_decimal(p)}")
     return jacobi(a, p)
 
 
@@ -229,9 +229,11 @@ def crt(congruences: Sequence[tuple[int, int]]) -> tuple[int, int]:
     s, M = 0, 1
     for r, mod in congruences:
         if mod <= 0:
-            raise ValueError(f"modulus must be positive, got {mod}")
+            raise ValueError(f"modulus must be positive, got {to_decimal(mod)}")
         if gcd(M, mod) != 1:
-            raise ModuliNotCoprime(f"modulus {mod} shares a factor with {M}")
+            raise ModuliNotCoprime(
+                f"modulus {to_decimal(mod)} shares a factor with {to_decimal(M)}"
+            )
         inv = pow(M % mod, -1, mod)
         s += M * ((r - s) * inv % mod)
         M *= mod
@@ -241,9 +243,12 @@ def crt(congruences: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def prime_in_ap(s: int, M: int, exceed: int, budget: int = 10**6) -> int:
     """Smallest prime p = s (mod M) with p > exceed, testing at most budget candidates."""
     if M <= 0:
-        raise ValueError(f"modulus must be positive, got {M}")
+        raise ValueError(f"modulus must be positive, got {to_decimal(M)}")
     if gcd(s, M) != 1:
-        raise NotCoprime(f"gcd({s}, {M}) != 1: the progression holds at most one prime")
+        raise NotCoprime(
+            f"gcd({to_decimal(s)}, {to_decimal(M)}) != 1: "
+            "the progression holds at most one prime"
+        )
     if budget <= 0:
         raise ValueError("budget must be positive")
     t = exceed + 1

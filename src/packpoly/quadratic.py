@@ -28,6 +28,11 @@ class QuadPoly2:
     e: int
     f: int
 
+    def __repr__(self) -> str:
+        # The dataclass repr, with coefficients of any size.
+        fields = zip("abcdef", self.as_tuple())
+        return "QuadPoly2(" + ", ".join(f"{k}={to_decimal(v)}" for k, v in fields) + ")"
+
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
@@ -49,7 +54,8 @@ class QuadPoly2:
         num = self.numerator(x, y)
         if num % 2:
             raise OddNumerator(
-                f"numerator {num} at ({x}, {y}) is odd; F is not integer-valued there"
+                f"numerator {to_decimal(num)} at ({to_decimal(x)}, {to_decimal(y)}) "
+                "is odd; F is not integer-valued there"
             )
         return num // 2 + self.f
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Literal
+from typing import Iterable, Literal
 
 from .decimals import to_decimal
 from .errors import InvalidSectorSpec, NotInSector, SectorDivisibilityError
@@ -84,23 +84,23 @@ def _segment_base(spec: SectorSpec, q: int) -> int:
     return spec.r * q * (q - 1) // 2 + q
 
 
-def sector_F(spec: SectorSpec, x: int, y: int) -> int:
-    """The lower packing polynomial, read off segment q = x - dy: B(q) + y."""
+def _require_member(spec: SectorSpec, x: int, y: int) -> None:
     if not sector_contains(spec, x, y):
         raise NotInSector(
             f"({to_decimal(x)}, {to_decimal(y)}) is outside the {_slope(spec)} sector"
         )
-    return _segment_base(spec, x - spec.d * y) + y
+
+
+def sector_F(spec: SectorSpec, x: int, y: int) -> int:
+    """The lower packing polynomial, read off segment q = x - dy: B(q) + y."""
+    _require_member(spec, x, y)
+    return sector_values(spec, "F", ((x, y),))[0]
 
 
 def sector_G(spec: SectorSpec, x: int, y: int) -> int:
     """The upper packing polynomial, read off segment q = x - dy: B(q) + rq - y."""
-    if not sector_contains(spec, x, y):
-        raise NotInSector(
-            f"({to_decimal(x)}, {to_decimal(y)}) is outside the {_slope(spec)} sector"
-        )
-    q = x - spec.d * y
-    return _segment_base(spec, q) + spec.r * q - y
+    _require_member(spec, x, y)
+    return sector_values(spec, "G", ((x, y),))[0]
 
 
 def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) -> int:
@@ -111,10 +111,28 @@ def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) ->
     raise ValueError(f"which must be 'F' or 'G', got {which!r}")
 
 
+def sector_values(
+    spec: SectorSpec, which: WhichPolynomial, points: Iterable[SectorPoint]
+) -> list[int]:
+    """The chosen polynomial at each of `points`, in segment form.
+
+    The points must lie in the sector; they are not tested, which is
+    what lets a caller holding known sector points, such as the output
+    of sector_enumerate, evaluate them all in one pass.  Outside the
+    sector the result is meaningless.
+    """
+    r, d = spec.r, spec.d
+    if which == "F":
+        return [_segment_base(spec, x - d * y) + y for x, y in points]
+    if which == "G":
+        return [_segment_base(spec, q := x - d * y) + r * q - y for x, y in points]
+    raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+
+
 def sector_enumerate(spec: SectorSpec, count: int) -> list[SectorPoint]:
     """The first `count` sector points, ascending x then ascending y."""
     if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+        raise ValueError(f"count must be nonnegative, got {to_decimal(count)}")
     points: list[SectorPoint] = []
     x = 0
     while len(points) < count:

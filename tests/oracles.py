@@ -5,7 +5,10 @@ no code with what it checks, so the tests can compare the two.
 """
 
 from packpoly import (
+    Collision,
+    FrontierNotClosed,
     ModularGap,
+    PackingVerdict,
     QuadPoly2,
     RegionCounts,
     SectorSpec,
@@ -197,3 +200,33 @@ def least_nonresidue_prime_by_euler(D: int, floor: int) -> int:
     while not (n > 2 and pow(D % n, (n - 1) // 2, n) == n - 1 and _probably_prime(n)):
         n += 1
     return n
+
+
+def verify_packing_by_dict_scan(
+    evaluator, points, value_bound: int, frontier: int
+) -> PackingVerdict:
+    """verify_packing_bruteforce with a callback: evaluate each point in
+    turn, keep the first point per value in a dict, and record the first
+    repeat; then test every value up to the bound for membership.
+    """
+    if value_bound < 0:
+        raise ValueError(f"value bound must be nonnegative, got {value_bound}")
+    if frontier <= value_bound:
+        raise FrontierNotClosed(
+            f"outside lower bound {frontier} does not exceed value bound {value_bound}"
+        )
+    seen: dict = {}
+    collision = None
+    for pt in points:
+        v = evaluator(pt)
+        if collision is None and v in seen:
+            collision = Collision(p1=seen[v], p2=pt, value=v)
+        else:
+            seen.setdefault(v, pt)
+    return PackingVerdict(
+        injective_on_box=collision is None,
+        collision=collision,
+        covered_upto=value_bound,
+        gaps=tuple(v for v in range(value_bound + 1) if v not in seen),
+        frontier_bound_used=frontier,
+    )

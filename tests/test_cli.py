@@ -284,6 +284,24 @@ class TestSectorCommands:
         )
         assert (code, out) == (0, expected)
 
+    def test_verify_output_is_byte_identical(self, capsys):
+        # SHA-256 of each exit code and newline, then the stdout, of
+        # `sector verify` for every slope of SECTOR_VERIFY_GOLDEN (in its
+        # order), variants f, g and both, and five prefix lengths; taken
+        # at commit 008cefd.
+        digest = hashlib.sha256()
+        for r, s in SECTOR_VERIFY_GOLDEN:
+            for variant in (["--variant", "f"], ["--variant", "g"], []):
+                for points in (1, 2, 57, 500, 3000):
+                    code, out, _ = run_cli(
+                        capsys, "sector", "verify", "--r", str(r), "--s", str(s),
+                        "--points", str(points), *variant,
+                    )
+                    digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "337356a875c65d61590806416b3c8cf099819db8f76b826c7f28ee52bd2fda39"
+        )
+
     def test_pack_and_unpack_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "sector", "pack", "--r", "1", "--s", "2", "4", "2"

@@ -1,7 +1,13 @@
 """Finite-prefix packing verification: frontier logic, verdicts, adapters."""
 
 import pytest
-from oracles import sector_prefix_frontier
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    sector_prefix,
+    sector_prefix_frontier,
+    sector_value_by_numerator,
+    verify_packing_by_dict_scan,
+)
 
 from packpoly import (
     FrontierNotClosed,
@@ -15,6 +21,7 @@ from packpoly import (
     verify_sector_packing,
 )
 from packpoly import bruteforce as bruteforce_module
+from packpoly.sector import sector_values
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
 C2 = QuadPoly2(1, 1, 1, 3, 1, 0)
@@ -26,9 +33,10 @@ SLOPES = [
 
 class TestGenericHarness:
     def test_identity_map_packs(self):
+        points = [(i,) for i in range(51)]
         verdict = verify_packing_bruteforce(
-            evaluator=lambda pt: pt[0],
-            points=[(i,) for i in range(51)],
+            points=points,
+            values=[pt[0] for pt in points],
             value_bound=50,
             frontier=51,
         )
@@ -38,9 +46,10 @@ class TestGenericHarness:
 
     def test_doubling_map_reports_every_gap(self):
         B = 30
+        points = [(i,) for i in range(B + 1)]
         verdict = verify_packing_bruteforce(
-            evaluator=lambda pt: 2 * pt[0],
-            points=[(i,) for i in range(B + 1)],
+            points=points,
+            values=[2 * pt[0] for pt in points],
             value_bound=2 * B + 1,
             frontier=2 * B + 2,
         )
@@ -50,8 +59,8 @@ class TestGenericHarness:
 
     def test_first_collision_is_kept(self):
         verdict = verify_packing_bruteforce(
-            evaluator=lambda pt: 7,
             points=[(0,), (1,), (2,)],
+            values=[7, 7, 7],
             value_bound=7,
             frontier=8,
         )
@@ -63,8 +72,8 @@ class TestGenericHarness:
     def test_open_frontier_is_loud(self):
         with pytest.raises(FrontierNotClosed):
             verify_packing_bruteforce(
-                evaluator=lambda pt: pt[0],
                 points=[(i,) for i in range(11)],
+                values=list(range(11)),
                 value_bound=11,
                 frontier=11,
             )
@@ -72,11 +81,42 @@ class TestGenericHarness:
     def test_negative_value_bound_rejected(self):
         with pytest.raises(ValueError):
             verify_packing_bruteforce(
-                evaluator=lambda pt: pt[0],
                 points=[],
+                values=[],
                 value_bound=-1,
                 frontier=1,
             )
+
+    def test_one_value_per_point_required(self):
+        with pytest.raises(ValueError, match="one value per point"):
+            verify_packing_bruteforce([(0,), (1,)], [0], 1, 2)
+
+
+class TestHarnessMatchesDictScan:
+    """The set-based harness against the callback dict-scan oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                st.integers(-5, 45),
+            ),
+            max_size=60,
+            unique_by=lambda pair: pair[0],
+        ),
+        value_bound=st.integers(0, 40),
+        margin=st.integers(1, 5),
+    )
+    def test_verdicts_agree(self, pairs, value_bound, margin):
+        points = [pt for pt, _ in pairs]
+        values = [v for _, v in pairs]
+        frontier = value_bound + margin
+        expected = verify_packing_by_dict_scan(
+            dict(pairs).__getitem__, points, value_bound, frontier
+        )
+        verdict = verify_packing_bruteforce(points, values, value_bound, frontier)
+        assert verdict == expected
 
 
 class TestQuadrantEnumeration:
@@ -135,6 +175,23 @@ class TestQuadraticPacking:
             verify_quadratic_packing(QuadPoly2(1, -2, 1, 1, 1, 0), 10, 10)
 
 
+class TestTypedErrorsPastTheIntStrLimit:
+    BIG = 10**5000
+
+    def test_open_frontier(self):
+        with pytest.raises(FrontierNotClosed):
+            F = QuadPoly2(1, 1, 1, 1, 3, self.BIG)
+            verify_quadratic_packing(F, 3, 10 * self.BIG)
+
+    def test_structural_failure(self):
+        with pytest.raises(ValueError, match="fails"):
+            verify_quadratic_packing(QuadPoly2(1, 1, 1, 2, 3, self.BIG), 3, 10)
+
+    def test_negative_value_bound(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_packing_bruteforce([], [], -self.BIG, 1)
+
+
 class TestSectorPacking:
     def test_reference_spec_packs(self):
         for which in ("F", "G"):
@@ -181,4 +238,19 @@ class TestSectorPacking:
                     calls[name] = 0
                 verify_sector_packing(spec, which, count)
                 assert calls["sector_enumerate"] == 1
-                assert count <= calls["sector_evaluate"] <= count + 1
+                # at most the cut column's top point; the prefix is
+                # evaluated in bulk
+                assert calls["sector_evaluate"] <= 1
+
+    @pytest.mark.parametrize("r,s", SLOPES)
+    def test_bulk_values_match_numerators(self, r, s):
+        spec = SectorSpec(r, s)
+        points = sector_prefix(spec, 3000)
+        for which in ("F", "G"):
+            assert sector_values(spec, which, points) == [
+                sector_value_by_numerator(spec, which, x, y) for x, y in points
+            ], which
+
+    def test_bulk_values_reject_unknown_polynomial(self):
+        with pytest.raises(ValueError):
+            sector_values(SectorSpec(1, 2), "H", [(0, 0)])

@@ -442,3 +442,30 @@ class TestLeastNonResiduePrime:
             least_nonresidue_prime(49, 8)
         with pytest.raises(ZeroInput):
             least_nonresidue_prime(-1, 0)
+
+
+class TestTypedErrorsPastTheIntStrLimit:
+    """A 5,000-digit argument gets its typed error, not the interpreter's
+    int-to-str limit error from formatting the message."""
+
+    BIG = 10**5000
+
+    def test_prime_in_ap_not_coprime(self):
+        with pytest.raises(NotCoprime, match="the progression holds"):
+            prime_in_ap(self.BIG, self.BIG, 0)
+
+    def test_crt_moduli_not_coprime(self):
+        with pytest.raises(ModuliNotCoprime, match="shares a factor"):
+            crt([(1, self.BIG)] * 2)
+
+    def test_crt_nonpositive_modulus(self):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            crt([(1, -self.BIG)])
+
+    def test_legendre_composite_modulus(self):
+        with pytest.raises(NotOddPrime, match="odd prime"):
+            legendre(2, self.BIG + 1)
+
+    def test_jacobi_even_modulus(self):
+        with pytest.raises(ValueError, match="odd positive n"):
+            jacobi(1, self.BIG)

@@ -69,6 +69,18 @@ class TestEvaluation:
             with pytest.raises(OddNumerator):
                 F.evaluate(x, y)
 
+    def test_odd_numerator_past_the_int_str_limit(self):
+        big = 10**5000 + 1
+        with pytest.raises(OddNumerator, match="is odd"):
+            QuadPoly2(1, 0, 1, 0, 0, 0).evaluate(big, 0)
+
+    def test_repr_is_the_dataclass_repr_at_any_size(self):
+        assert repr(QuadPoly2(1, -1, 2, 3, 0, 4)) == (
+            "QuadPoly2(a=1, b=-1, c=2, d=3, e=0, f=4)"
+        )
+        text = repr(QuadPoly2(1, 1, 1, 1, 3, 10**5000))
+        assert text == "QuadPoly2(a=1, b=1, c=1, d=1, e=3, f=1" + "0" * 5000 + ")"
+
     def test_parity_valid_tuples_always_evaluate(self):
         rng = random.Random(7)
         for _ in range(300):
