@@ -28,14 +28,14 @@ from .errors import (
     ZeroInput,
 )
 
-# Witnesses making Miller-Rabin deterministic for n < 3.317e24, far beyond
-# anything the bounded searches in this package can reach; a strong
-# probable-prime test past that.
+# Witnesses making Miller-Rabin deterministic for n < 3.317e24; past that
+# it is a strong probable-prime test.  Witness primes do get that large:
+# they exceed 8a, so a 150-digit coefficient a gives a 150-digit p.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed deterministic witness set."""
+    """Miller-Rabin with a fixed witness set, deterministic below 3.317e24."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -116,69 +116,67 @@ class SquareDecomposition:
         return value
 
 
-# Trial division below this runs over plain odd numbers, so a cofactor
-# that small divisors finish never builds the prime table.
-_PLAIN_TRIAL = 1000
+# The odd primes below _SMALL_LIMIT are sieved on their own as the first
+# run of trial division, so a cofactor that they finish never builds the
+# table of the rest.
+_SMALL_LIMIT = 1000
 _PRIME_TABLE_LIMIT = 10**6
-# Table primes past _PLAIN_TRIAL are screened this many at a time.
+# Table primes past _SMALL_LIMIT are screened this many at a time.
 _BLOCK = 256
 
 
-@functools.cache
-def _odd_primes() -> list[int]:
-    """The odd primes below 10^6, ascending (78,497 of them).
-
-    A sieve of Eratosthenes over the odd numbers, run on first use and
-    kept for the rest of the process.
-    """
-    half = _PRIME_TABLE_LIMIT // 2
+def _odd_primes_below(limit: int) -> list[int]:
+    """The odd primes below limit, ascending, by a sieve of Eratosthenes."""
+    half = limit // 2
     sieve = bytearray([1]) * half  # sieve[i] stands for 2i + 1
     sieve[0] = 0
-    for i in range(1, isqrt(_PRIME_TABLE_LIMIT) // 2 + 1):
+    for i in range(1, isqrt(limit) // 2 + 1):
         if sieve[i]:
             p = 2 * i + 1
             sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
-    return list(compress(range(1, _PRIME_TABLE_LIMIT, 2), sieve))
+    return list(compress(range(1, limit, 2), sieve))
+
+
+@functools.cache
+def _small_block() -> tuple[list[int], int]:
+    """The 167 odd primes below _SMALL_LIMIT with their product."""
+    primes = _odd_primes_below(_SMALL_LIMIT)
+    return primes, prod(primes)
 
 
 @functools.cache
 def _prime_blocks() -> list[tuple[list[int], int]]:
-    """The table primes above _PLAIN_TRIAL in ascending blocks of _BLOCK,
-    each with the product of its primes (306 blocks, built with the table).
+    """The odd primes from _SMALL_LIMIT to 10^6 in ascending blocks of
+    _BLOCK, each with the product of its primes (306 blocks).
+
+    Sieved on first use and kept for the rest of the process.
     """
-    primes = _odd_primes()
-    start = bisect_left(primes, _PLAIN_TRIAL)
+    primes = _odd_primes_below(_PRIME_TABLE_LIMIT)
+    start = bisect_left(primes, _SMALL_LIMIT)
     blocks = [primes[i : i + _BLOCK] for i in range(start, len(primes), _BLOCK)]
     return [(block, prod(block)) for block in blocks]
 
 
-def _trial_runs() -> Iterator[tuple[Sequence[int], int]]:
-    """Ascending runs of odd divisors below 10^6 that include every odd prime.
-
-    Each run comes with a product of primes that includes all of the
-    run's, or 0 when the run must be tried whole: plain odd numbers below
-    _PLAIN_TRIAL, then the blocks of table primes.  A composite divisor
-    never divides what its smaller prime factors have left, so it only
-    costs a step.
-    """
-    yield range(3, _PLAIN_TRIAL, 2), 0
+def _trial_runs() -> Iterator[tuple[list[int], int]]:
+    """Every odd prime below 10^6 in ascending runs, each with its product."""
+    yield _small_block()
     yield from _prime_blocks()
 
 
 def square_decompose(D: int) -> SquareDecomposition:
     """Factor D into sign, power of two, square part, and square-free odd part.
 
-    Trial division by every odd prime below 10^6, ascending, until
-    the divisor's square exceeds what is left.  Divisors below 1,000 are
-    plain odd numbers.  Past that they come from a table of the odd
-    primes below 10^6, built once per process on first use together with
-    the products of its blocks of 256 primes.  A block is skipped whole
-    when gcd(product, n) = 1 for the cofactor n, so one gcd stands in for
-    256 divisions that would all fail; only blocks that share a factor
-    with n are trial-divided.  This is the batched-gcd idea of Bernstein,
-    "How to find smooth parts of integers" (2004).  When the cofactor
-    left after every prime below 10^6 is at least (10^6 + 1)^2, it may be
-    composite: that raises FactorizationTooHard rather than stalling.
+    Trial division by the odd primes below 10^6, ascending, in runs: the
+    167 primes below 1,000, then blocks of 256 from a table of the rest,
+    built once per process on first use.  A run is trial-divided only
+    when gcd(product, n) != 1 for the cofactor n and the product of the
+    run's primes, so one gcd stands in for a run of divisions that would
+    all fail.  This is the batched-gcd idea of Bernstein, "How to find
+    smooth parts of integers" (2004).  After a run ending at prime q, no
+    prime up to q divides n, so once n < (q + 2)^2 it is 1 or a prime and
+    the division stops.  When the cofactor left after every prime below
+    10^6 is at least (10^6 + 1)^2, it may be composite: that raises
+    FactorizationTooHard rather than stalling.
     """
     if D == 0:
         raise ZeroInput("cannot decompose zero")
@@ -192,22 +190,20 @@ def square_decompose(D: int) -> SquareDecomposition:
     beta = e2 & 1
     odd: list[int] = []
     for run, product in _trial_runs():
-        if product and run[0] * run[0] <= n and gcd(product % n, n) == 1:
-            continue  # no prime of the run divides n
-        for d in run:
-            if d * d > n:
-                break
-            if n % d == 0:
-                exp = 0
-                while n % d == 0:
-                    n //= d
-                    exp += 1
-                m *= d ** (exp // 2)
-                if exp & 1:
-                    odd.append(d)
-        else:
-            continue
-        break  # what is left has no factor below d, so it is 1 or a prime
+        if gcd(product % n, n) != 1:
+            for d in run:
+                if d * d > n:
+                    break
+                if n % d == 0:
+                    exp = 0
+                    while n % d == 0:
+                        n //= d
+                        exp += 1
+                    m *= d ** (exp // 2)
+                    if exp & 1:
+                        odd.append(d)
+        if n < (run[-1] + 2) ** 2:
+            break  # no prime up to run[-1] divides n, so it is 1 or a prime
     else:
         if (_PRIME_TABLE_LIMIT + 1) ** 2 <= n:
             raise FactorizationTooHard(
@@ -323,7 +319,9 @@ def nonresidue_prime(
         s, M = (3, 4) if dec.beta == 0 else (5, 8)
     else:
         q1 = dec.odd_primes[0]
-        r1 = next(r for r in count(2) if legendre(r, q1) == -1)
+        # q1 is prime (a trial divisor, or a cofactor with no factor up to
+        # its square root), so the Jacobi symbol is the Legendre symbol.
+        r1 = next(r for r in count(2) if jacobi(r, q1) == -1)
         parts = [(1, 8), (r1, q1)] + [(1, q) for q in dec.odd_primes[1:]]
         s, M = crt(parts)
     floor = abs(ell) if exceed is None else max(abs(ell), exceed)
@@ -333,12 +331,6 @@ def nonresidue_prime(
             break
         floor = p  # p divides the square part of D; (D/p) would be 0
     return NonResidueCertificate(D=D, ell=ell, p=p)
-
-
-@functools.cache
-def _small_odd_primorial() -> int:
-    """The product of the odd primes below _PLAIN_TRIAL, built on first use."""
-    return prod(p for p in range(3, _PLAIN_TRIAL, 2) if is_prime(p))
 
 
 def least_nonresidue_prime(
@@ -352,8 +344,8 @@ def least_nonresidue_prime(
     Scans the odd numbers upward without factoring D, so nonresidue_prime
     returns it for a D that square_decompose cannot factor.  A candidate
     of at least 1,000 that shares a factor with the product of the odd
-    primes below 1,000 is composite and dropped at the cost of one gcd,
-    as in square_decompose's block screen (Bernstein 2004); that leaves
+    primes below 1,000, square_decompose's first run, is composite and
+    dropped at the cost of one gcd, as in its run screen; that leaves
     about one odd candidate in six.  The Jacobi symbol, cheap and
     -1 for about half the rest, is tested before primality; for a prime p
     it is the Legendre symbol.  Raises BudgetExhausted after budget odd
@@ -362,9 +354,9 @@ def least_nonresidue_prime(
     _require_nonsquare(D, ell)
     floor = abs(ell) if exceed is None else max(abs(ell), exceed)
     start = max(3, (floor + 1) | 1)
-    small = _small_odd_primorial()
+    small = _small_block()[1]
     for p in range(start, start + 2 * budget, 2):
-        if p >= _PLAIN_TRIAL and gcd(small, p) != 1:
+        if p >= _SMALL_LIMIT and gcd(small, p) != 1:
             continue
         if jacobi(D, p) == -1 and is_prime(p):
             return NonResidueCertificate(D=D, ell=ell, p=p)

@@ -502,12 +502,14 @@ def test_small_candidates_never_build_the_prime_table(monkeypatch, capsys):
     def refuse():
         raise AssertionError("the prime table was built")
 
-    monkeypatch.setattr(numtheory, "_odd_primes", refuse)
     monkeypatch.setattr(numtheory, "_prime_blocks", refuse)
     for F in sweep(3):
         classify(F)
     assert cli_dispatch(["classify", "1", "0", "1", "1", "1", "0"]) == 1
     assert capsys.readouterr().out.startswith("ModularGap\n")
+    for D in (994013, -994013):  # a prime past 997^2, below 999^2
+        assert numtheory.square_decompose(D).odd_primes == (994013,)
+        assert numtheory.nonresidue_prime(D, 8).holds()
 
 
 P150 = 10**149 + 183

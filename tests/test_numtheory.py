@@ -193,11 +193,12 @@ def assert_matches_odd_trial(D):
     )
 
 
-SMALL_PARTS = st.sampled_from([1, -1, 2, -4, 3, -9, 12, -45, 210, -(3**5) * 7**2])
+SMALL_MULTIPLIERS = [1, -1, 2, -4, 3, -9, 12, -45, 210, -(3**5) * 7**2]
+SMALL_PARTS = st.sampled_from(SMALL_MULTIPLIERS)
 NEAR_MILLION = [p for p in range(10**6 - 400, 10**6 + 400) if is_prime(p)]
-# The table primes past the plain odd divisors, in the blocks square_decompose
+# The table primes past the small block, in the blocks square_decompose
 # screens with one gcd each: 305 blocks of 256 and a last one of 250.
-TABLE = [p for p in numtheory._odd_primes() if p > 1000]
+TABLE = [p for p in numtheory._odd_primes_below(10**6) if p > 1000]
 BLOCKS = [TABLE[i : i + 256] for i in range(0, len(TABLE), 256)]
 BLOCK_INDEX = st.sampled_from([0, 1, 2, 150, len(BLOCKS) - 2, len(BLOCKS) - 1])
 
@@ -272,13 +273,20 @@ class TestSquareDecomposeAgainstOddTrial:
         p = BLOCKS[i][0]
         assert_matches_odd_trial(small * (p * p + delta))
 
+    # Around the end of the first run, the odd primes below 1,000: the
+    # division stops there only when the cofactor is below 999^2.
+    @pytest.mark.parametrize("small", SMALL_MULTIPLIERS)
+    @pytest.mark.parametrize("n", [1, 997**2, 991 * 997, 994013, 1018057, 1009 * 1013])
+    def test_cofactors_around_the_end_of_the_small_block(self, n, small):
+        assert_matches_odd_trial(small * n)
+
     def test_blocks_cover_the_table_past_the_plain_divisors(self):
         blocks = numtheory._prime_blocks()
         assert [block for block, _ in blocks] == BLOCKS
         assert all(product == math.prod(block) for block, product in blocks)
 
     def test_prime_table_holds_the_odd_primes_below_a_million(self):
-        table = numtheory._odd_primes()
+        table = numtheory._odd_primes_below(10**6)
         assert len(table) == 78497  # pi(10^6) counts 2 as well
         assert table[:6] == [3, 5, 7, 11, 13, 17] and table[-1] == 999983
         assert table == sorted(set(table))
@@ -292,12 +300,12 @@ class TestSquareDecomposeAgainstOddTrial:
         code = (
             "import packpoly, packpoly.cli, packpoly.numtheory as nt; "
             "print(*(f.cache_info().currsize for f in "
-            "(nt._odd_primes, nt._prime_blocks, nt._small_odd_primorial)))"
+            "(nt._small_block, nt._prime_blocks)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         ).stdout
-        assert out.split() == ["0", "0", "0"]
+        assert out.split() == ["0", "0"]
 
 
 class TestCrt:
