@@ -6,10 +6,12 @@ that every point outside the region takes values beyond the range under
 inspection; that certificate is the frontier bound, and the verdict
 records which bound made the check conclusive.
 
-verify_packing_bruteforce takes the region as the points it holds, the
-function as its values at those points, and the frontier as a number;
-verify_quadratic_packing and verify_sector_packing compute all three for
-the quadrant and for sectors.
+verify_packing_bruteforce takes the region as the points it holds, in
+any sequence, the function as its values at those points, and the
+frontier as a number; verify_quadratic_packing and verify_sector_packing
+compute all three for the quadrant and for sectors.  The quadrant box is
+a list; a sector prefix is a SectorPrefix, which stores column heights
+only and evaluates a polynomial one column at a time.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from .decimals import to_decimal
 from .errors import FrontierNotClosed
 from .quadratic import QuadPoly2, quadrant_outside_min, validate
 from .sector import (
+    SectorPrefix,
     SectorSpec,
     WhichPolynomial,
-    sector_enumerate,
+    _require_which,
     sector_evaluate,
     sector_tail_min,
-    sector_values,
 )
 
 PointM = tuple[int, ...]
@@ -63,7 +65,8 @@ def verify_packing_bruteforce(
     """Check injectivity and gap-freeness over an enumerated region.
 
     points must hold every domain point of the region, each exactly
-    once, values[i] is the function's value at points[i], and frontier
+    once, in any sequence: it is indexed only to name a collision.
+    values[i] is the function's value at points[i], and frontier
     must be a proven lower bound for the function on every domain point
     outside the region.  When frontier fails to clear value_bound the
     check is inconclusive and FrontierNotClosed is raised: a larger
@@ -89,12 +92,12 @@ def verify_packing_bruteforce(
     attained = set(values)
     collision: Optional[Collision] = None
     if len(attained) < len(values):
-        seen: dict[int, PointM] = {}
-        for pt, v in zip(points, values):
-            if v in seen:
-                collision = Collision(p1=seen[v], p2=pt, value=v)
+        first: dict[int, int] = {}
+        for i, v in enumerate(values):
+            j = first.setdefault(v, i)
+            if j != i:
+                collision = Collision(p1=points[j], p2=points[i], value=v)
                 break
-            seen[v] = pt
     if attained.issuperset(range(value_bound + 1)):
         gaps: tuple[int, ...] = ()
     else:
@@ -156,17 +159,20 @@ def verify_sector_packing(
     y for the lower polynomial and rq - y for the upper, rises by at
     most one.
 
-    The prefix's values are read off in segment form in one pass, with
-    no membership test: sector_enumerate yields sector points only.
+    The prefix is a SectorPrefix: no point list is built, and its values
+    are read off in segment form one column at a time, with no
+    membership test, since the prefix holds sector points only.  An
+    unknown polynomial is rejected before the columns are walked.
     """
     if min_points < 1:
         raise ValueError(f"need at least one point, got {to_decimal(min_points)}")
-    points = sector_enumerate(spec, min_points)
-    x_cut, y_cut = points[-1]
+    _require_which(which)
+    prefix = SectorPrefix(spec, min_points)
+    x_cut, y_cut = prefix[-1]
     top = spec.r * x_cut // spec.s
     frontier = sector_tail_min(spec, x_cut + 1)
     if y_cut < top:
         frontier = min(frontier, sector_evaluate(spec, which, x_cut, top))
     return verify_packing_bruteforce(
-        points, sector_values(spec, which, points), frontier - 1, frontier
+        prefix, prefix.values(which), frontier - 1, frontier
     )

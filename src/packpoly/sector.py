@@ -20,13 +20,22 @@ segment form, which needs no halving check.  Since B(q + 1) = B(q) +
 r*q + 1, the segments cover 0, 1, 2, ... exactly once, so unpacking n
 finds the segment with an integer square root and reads y off the
 offset n - B(q), for n of any size.
+
+Column x of the sector holds the points (x, 0), ..., (x, floor(rx/s)).
+SectorPrefix is the first `count` points, column by column, held as
+the column heights alone: it yields a point only when asked for one,
+and evaluates a polynomial over the prefix one column at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from math import gcd, isqrt
-from typing import Iterable, Literal
+from operator import index
+from typing import Literal
 
 from .decimals import to_decimal
 from .errors import InvalidSectorSpec, NotInSector, SectorDivisibilityError
@@ -91,55 +100,106 @@ def _require_member(spec: SectorSpec, x: int, y: int) -> None:
         )
 
 
+def _require_which(which: str) -> None:
+    if which not in ("F", "G"):
+        raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+
+
+def _segment_values(
+    spec: SectorSpec, which: WhichPolynomial, x: int, ys: range
+) -> list[int]:
+    """The chosen polynomial at (x, y) for each y in ys, in segment form.
+
+    With q = x - dy, that is B(q) + y = q(rq + 2 - r)/2 + y for the
+    lower polynomial and B(q) + rq - y = q(rq + r + 2)/2 - y for the
+    upper one, B inlined: a call per point would cost more than its
+    arithmetic.  which must already be checked, and the points must lie
+    in the sector; they are not tested, and outside it the result is
+    meaningless.
+    """
+    r, d = spec.r, spec.d
+    if which == "F":
+        c = 2 - r
+        return [(q := x - d * y) * (r * q + c) // 2 + y for y in ys]
+    c = r + 2
+    return [(q := x - d * y) * (r * q + c) // 2 - y for y in ys]
+
+
 def sector_F(spec: SectorSpec, x: int, y: int) -> int:
     """The lower packing polynomial, read off segment q = x - dy: B(q) + y."""
     _require_member(spec, x, y)
-    return sector_values(spec, "F", ((x, y),))[0]
+    return _segment_values(spec, "F", x, range(y, y + 1))[0]
 
 
 def sector_G(spec: SectorSpec, x: int, y: int) -> int:
     """The upper packing polynomial, read off segment q = x - dy: B(q) + rq - y."""
     _require_member(spec, x, y)
-    return sector_values(spec, "G", ((x, y),))[0]
+    return _segment_values(spec, "G", x, range(y, y + 1))[0]
 
 
 def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) -> int:
-    if which == "F":
-        return sector_F(spec, x, y)
-    if which == "G":
-        return sector_G(spec, x, y)
-    raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+    _require_which(which)
+    return sector_F(spec, x, y) if which == "F" else sector_G(spec, x, y)
 
 
-def sector_values(
-    spec: SectorSpec, which: WhichPolynomial, points: Iterable[SectorPoint]
-) -> list[int]:
-    """The chosen polynomial at each of `points`, in segment form.
+class SectorPrefix(Sequence[SectorPoint]):
+    """The first `count` sector points, ascending x then ascending y, as
+    a read-only sequence.
 
-    The points must lie in the sector; they are not tested, which is
-    what lets a caller holding known sector points, such as the output
-    of sector_enumerate, evaluate them all in one pass.  Outside the
-    sector the result is meaningless.
+    Only the column heights and the index at which each column starts
+    are stored; a point is built when it is indexed or iterated over.
     """
-    r, d = spec.r, spec.d
-    if which == "F":
-        return [_segment_base(spec, x - d * y) + y for x, y in points]
-    if which == "G":
-        return [_segment_base(spec, q := x - d * y) + r * q - y for x, y in points]
-    raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+
+    __slots__ = ("spec", "_heights", "_starts")
+
+    def __init__(self, spec: SectorSpec, count: int) -> None:
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {to_decimal(count)}")
+        r, s = spec.r, spec.s
+        heights: list[int] = []
+        x = total = 0
+        while total < count:
+            height = min(r * x // s + 1, count - total)
+            heights.append(height)
+            total += height
+            x += 1
+        self.spec = spec
+        self._heights = heights
+        # _starts[x] is the index of (x, 0); the last entry is count
+        self._starts = list(accumulate(heights, initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> SectorPoint:  # type: ignore[override]
+        i = index(i)
+        n = self._starts[-1]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("sector prefix index out of range")
+        x = bisect_right(self._starts, i) - 1
+        return x, i - self._starts[x]
+
+    def __iter__(self) -> Iterator[SectorPoint]:
+        return chain.from_iterable(
+            zip(repeat(x), range(h)) for x, h in enumerate(self._heights)
+        )
+
+    def values(self, which: WhichPolynomial) -> list[int]:
+        """The chosen polynomial at each point, in point order, one
+        column at a time.  No membership test is needed: every point of
+        the prefix lies in the sector."""
+        _require_which(which)
+        out: list[int] = []
+        for x, h in enumerate(self._heights):
+            out += _segment_values(self.spec, which, x, range(h))
+        return out
 
 
 def sector_enumerate(spec: SectorSpec, count: int) -> list[SectorPoint]:
     """The first `count` sector points, ascending x then ascending y."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {to_decimal(count)}")
-    points: list[SectorPoint] = []
-    x = 0
-    while len(points) < count:
-        height = min(spec.r * x // spec.s + 1, count - len(points))
-        points.extend((x, y) for y in range(height))
-        x += 1
-    return points
+    return list(SectorPrefix(spec, count))
 
 
 def sector_tail_min(spec: SectorSpec, x_from: int) -> int:
@@ -165,8 +225,7 @@ def sector_unpack(spec: SectorSpec, which: WhichPolynomial, n: int) -> SectorPoi
     module docstring; its offset n - B(q) is y for the lower polynomial
     and r*q - y for the upper one.
     """
-    if which not in ("F", "G"):
-        raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+    _require_which(which)
     if n < 0:
         raise ValueError(f"target value must be nonnegative, got {to_decimal(n)}")
     r = spec.r

@@ -1,5 +1,7 @@
 """Finite-prefix packing verification: frontier logic, verdicts, adapters."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
@@ -21,7 +23,8 @@ from packpoly import (
     verify_sector_packing,
 )
 from packpoly import bruteforce as bruteforce_module
-from packpoly.sector import sector_values
+from packpoly import sector as sector_module
+from packpoly.sector import SectorPrefix
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
 C2 = QuadPoly2(1, 1, 1, 3, 1, 0)
@@ -217,40 +220,127 @@ class TestSectorPacking:
                 assert verdict.is_packing_prefix
 
     @pytest.mark.parametrize("r,s", SLOPES)
-    def test_prefix_is_enumerated_once(self, r, s, monkeypatch):
-        calls = {"sector_enumerate": 0, "sector_evaluate": 0}
+    def test_prefix_is_never_listed(self, r, s, monkeypatch):
+        evaluations = 0
 
-        def counted(name):
-            original = getattr(bruteforce_module, name)
+        def forbidden(*args):
+            raise AssertionError("the prefix must not be built as a list")
 
+        def counted(original):
             def wrapper(*args):
-                calls[name] += 1
+                nonlocal evaluations
+                evaluations += 1
                 return original(*args)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(bruteforce_module, name, counted(name))
+        for module in (bruteforce_module, sector_module):
+            monkeypatch.setattr(module, "sector_enumerate", forbidden, raising=False)
+            monkeypatch.setattr(
+                module, "sector_evaluate", counted(module.sector_evaluate)
+            )
+        monkeypatch.setattr(SectorPrefix, "__iter__", forbidden)
         spec = SectorSpec(r, s)
         for which in ("F", "G"):
             for count in (1, 2, 3, 10, 57, 500, 3000):
-                for name in calls:
-                    calls[name] = 0
+                evaluations = 0
                 verify_sector_packing(spec, which, count)
-                assert calls["sector_enumerate"] == 1
                 # at most the cut column's top point; the prefix is
-                # evaluated in bulk
-                assert calls["sector_evaluate"] <= 1
+                # evaluated column by column
+                assert evaluations <= 1
 
     @pytest.mark.parametrize("r,s", SLOPES)
-    def test_bulk_values_match_numerators(self, r, s):
+    def test_prefix_values_match_numerators(self, r, s):
         spec = SectorSpec(r, s)
         points = sector_prefix(spec, 3000)
+        prefix = SectorPrefix(spec, 3000)
         for which in ("F", "G"):
-            assert sector_values(spec, which, points) == [
+            assert prefix.values(which) == [
                 sector_value_by_numerator(spec, which, x, y) for x, y in points
             ], which
 
-    def test_bulk_values_reject_unknown_polynomial(self):
-        with pytest.raises(ValueError):
-            sector_values(SectorSpec(1, 2), "H", [(0, 0)])
+    def test_prefix_values_reject_unknown_polynomial(self):
+        for count in (0, 1, 10):
+            with pytest.raises(ValueError, match="which must be 'F' or 'G', got 'H'"):
+                SectorPrefix(SectorSpec(1, 2), count).values("H")
+
+    def test_unknown_polynomial_rejected_before_the_walk(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the columns must not be walked")
+
+        monkeypatch.setattr(bruteforce_module, "SectorPrefix", forbidden)
+        with pytest.raises(ValueError, match="which must be 'F' or 'G', got 'H'"):
+            verify_sector_packing(SectorSpec(1, 2), "H", 10**9)
+
+
+def dict_scan_verdict(points, values, value_bound, frontier):
+    return verify_packing_by_dict_scan(
+        dict(zip(points, values)).__getitem__, points, value_bound, frontier
+    )
+
+
+class TestSectorPrefixCollisions:
+    """A sector polynomial never collides, so planted values are what
+    reach the collision path through the view's indexing."""
+
+    @pytest.mark.parametrize("r,s", SLOPES)
+    def test_planted_repeats_and_gaps(self, r, s):
+        spec = SectorSpec(r, s)
+        rng = random.Random(r * 100 + s)
+        for which in ("F", "G"):
+            for count in (2, 3, 57, 500):
+                prefix = SectorPrefix(spec, count)
+                points = list(prefix)
+                clean = prefix.values(which)
+                bound = max(clean)
+                for _ in range(20):
+                    values = list(clean)
+                    j, k = sorted(rng.sample(range(count), 2))
+                    values[k] = values[j]  # a repeat, and a gap at clean[k]
+                    if count > 2 and rng.random() < 0.5:
+                        # a second repeat that keeps the first
+                        m = rng.choice([i for i in range(count) if i not in (j, k)])
+                        source = rng.choice([i for i in range(count) if i != m])
+                        values[m] = values[source]
+                    expected = dict_scan_verdict(points, values, bound, bound + 1)
+                    assert not expected.injective_on_box
+                    assert expected.gaps
+                    for region in (prefix, points):
+                        assert verify_packing_bruteforce(
+                            region, values, bound, bound + 1
+                        ) == expected, (which, count, j, k)
+
+    @pytest.mark.parametrize("r,s", SLOPES)
+    def test_planted_gap_alone(self, r, s):
+        spec = SectorSpec(r, s)
+        for which in ("F", "G"):
+            prefix = SectorPrefix(spec, 500)
+            points = list(prefix)
+            values = prefix.values(which)
+            bound = max(values)
+            values[-7] = bound + 10  # past the bound: a gap, no repeat
+            expected = dict_scan_verdict(points, values, bound, bound + 11)
+            assert expected.injective_on_box and expected.gaps
+            for region in (prefix, points):
+                assert verify_packing_bruteforce(
+                    region, values, bound, bound + 11
+                ) == expected
+
+
+class TestSectorPackingMatchesDictScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        slope=st.sampled_from(SLOPES),
+        which=st.sampled_from(["F", "G"]),
+        count=st.integers(1, 5000),
+    )
+    def test_verdicts_agree(self, slope, which, count):
+        spec = SectorSpec(*slope)
+        frontier = sector_prefix_frontier(spec, which, count)
+        expected = verify_packing_by_dict_scan(
+            lambda pt: sector_value_by_numerator(spec, which, *pt),
+            sector_prefix(spec, count),
+            frontier - 1,
+            frontier,
+        )
+        assert verify_sector_packing(spec, which, count) == expected
