@@ -17,8 +17,9 @@ False (never raises) when anything fails to match.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .decimals import to_decimal
 from .errors import (
@@ -43,8 +44,9 @@ from .quadratic import (
 
 Point2 = tuple[int, int]
 PointM = tuple[int, ...]
-# the witness prime above floor for D and ell, by (D, ell, floor), for one search
-_WitnessPrimes = dict[tuple[int, int, int | None], NonResidueCertificate]
+# (D, ell, floor) -> nonresidue_prime(D, ell, exceed=floor), memoized or not
+_WitnessSource = Callable[[int, int, int | None], NonResidueCertificate]
+_MAX_DIAGONAL = 600  # the witness search gives up past this diagonal
 
 
 @dataclass(frozen=True)
@@ -113,31 +115,22 @@ Certificate = Union[Collision, Gap, ModularGap, StructuralFail, CantorMatch]
 # classification
 
 
-def classify(F: QuadPoly2, *, max_diagonal: int = 600) -> Certificate:
+def classify(F: QuadPoly2) -> Certificate:
     """Decide whether F packs N0^2, producing a certificate either way.
 
     Pipeline: structural validation, positivity of the quadratic part
     included; modular refutation when D = b^2 - ac is not a square, of
     any size, with a witness prime from nonresidue_prime; exact
     coefficient match against the two Cantor tuples; witness search
-    (collision / gap / negative value) over at most max_diagonal + 1
-    diagonals for everything else, raising SearchExhausted past them.
+    (collision / gap / negative value) over the first 601 diagonals,
+    x + y <= 600, for everything else, raising SearchExhausted past them.
+    Each call finds its witness primes afresh.
     """
-    return _classify(F, max_diagonal=max_diagonal, primes={})
+    return _classify(F, nonresidue_prime)
 
 
-def _classify(
-    F: QuadPoly2,
-    *,
-    max_diagonal: int,
-    primes: _WitnessPrimes,
-) -> Certificate:
-    """classify(F), reusing the witness primes already found in `primes`.
-
-    `primes` maps (D, 8a, floor) to the witness prime _modular_gap found
-    above floor; a caller that classifies many candidates shares one dict
-    across them, so each witness prime is found once.
-    """
+def _classify(F: QuadPoly2, witness_prime: _WitnessSource) -> Certificate:
+    """classify(F), taking each witness prime from witness_prime(D, 8a, floor)."""
     if (F.a, F.b, F.c) == (0, 0, 0):
         raise NotQuadratic("candidate has no quadratic part; use refute_linear")
 
@@ -147,7 +140,7 @@ def _classify(
 
     D = F.b * F.b - F.a * F.c
     if is_square(D) is None:
-        return _modular_gap(F, D, primes)
+        return _modular_gap(F, D, witness_prime)
 
     if F.as_tuple() == CANTOR1.as_tuple():
         return CantorMatch(1)
@@ -156,46 +149,43 @@ def _classify(
 
     # D is a square but the coefficients are not a Cantor tuple; a finite
     # witness (collision, gap, or negative value) is guaranteed to exist.
-    return _witness_search(F, max_diagonal)
+    return _witness_search(F)
 
 
-def _modular_gap(F: QuadPoly2, D: int, primes: _WitnessPrimes) -> ModularGap:
+def _modular_gap(F: QuadPoly2, D: int, witness_prime: _WitnessSource) -> ModularGap:
     """The ModularGap certificate for F, whose D = b^2 - ac is not a square.
 
-    Each witness prime comes from one nonresidue_prime call, above 8a at
-    first and above the previous prime on each retry, and is cached in
-    `primes` under (D, 8a, floor).  A retry asks nonresidue_prime again,
-    so it factors D again (or scans again where D has no factor below
-    10^6); retries are rare.
+    Each witness prime comes from one witness_prime(D, 8a, floor) call,
+    with floor None at first and the previous prime on each retry; a
+    retry factors D again (or scans again where D has no factor below
+    10^6) unless the source caches it.  Retries are rare.
     """
     ell = 8 * F.a  # a >= 1 past the definiteness stage, so ell != 0
     r = square_completion(F).r
     floor = None
     while True:
-        key = (D, ell, floor)
-        witness = primes.get(key)
-        if witness is None:
-            witness = primes[key] = nonresidue_prime(D, ell, exceed=floor)
+        witness = witness_prime(D, ell, floor)
         p = witness.p
-        # p > 8a and (D/p) = -1 give gcd(8aD, p) = 1, so the inverse exists.
-        # Attained values congruent to s mod p all fall in one class mod
-        # p^2, the lift s0 with 8aD s0 = r (mod p^2); s is s0 reduced mod p.
-        # The certificate declares the class of s + p empty, so if s0
-        # happens to be that very class, move on to the next witness prime.
-        s0 = r * pow(ell * D % (p * p), -1, p * p) % (p * p)
+        # The certificate declares the class of s + p empty, so if the one
+        # attainable lift happens to be that very class, move on to the
+        # next witness prime.
+        s0 = _attainable_lift(ell * D, r, p)
         s = s0 % p
         if (s + p - s0) % (p * p) != 0:
             return ModularGap(witness=witness, s=s)
         floor = p
 
 
-def _c1_order_points(k: int):
-    """Points of the diagonal x + y = k, lower right to upper left."""
-    for x in range(k, -1, -1):
-        yield (x, k - x)
+def _attainable_lift(ell_D: int, r: int, p: int) -> int:
+    """s0 with 8aD s0 = r (mod p^2): attained values = s0 (mod p) all lie in it.
+
+    ell_D = 8aD is prime to p, since p > 8a and (D/p) = -1.
+    """
+    pp = p * p
+    return r * pow(ell_D % pp, -1, pp) % pp
 
 
-def _witness_search(F: QuadPoly2, max_diagonal: int) -> Certificate:
+def _witness_search(F: QuadPoly2) -> Certificate:
     """Scan diagonals in enumeration order for the first refuting witness.
 
     Precondition: F validated and its quadratic part positive on the
@@ -203,8 +193,9 @@ def _witness_search(F: QuadPoly2, max_diagonal: int) -> Certificate:
     """
     seen: dict[int, Point2] = {}
     probe = 0  # smallest value not yet confirmed attained
-    for k in range(max_diagonal + 1):
-        for pt in _c1_order_points(k):
+    for k in range(_MAX_DIAGONAL + 1):
+        for x in range(k, -1, -1):  # lower right to upper left
+            pt = (x, k - x)
             v = F.evaluate(*pt)
             if v < 0:
                 return StructuralFail(
@@ -232,7 +223,7 @@ def _witness_search(F: QuadPoly2, max_diagonal: int) -> Certificate:
             # by every unscanned one: a genuine gap.
             return Gap(value=probe, box_bound=gap_box_bound(F, probe))
     raise SearchExhausted(
-        f"no collision or certified gap within {max_diagonal} diagonals"
+        f"no collision or certified gap within {_MAX_DIAGONAL} diagonals"
     )
 
 
@@ -308,7 +299,8 @@ def _verify(F: QuadPoly2, certificate: Certificate) -> bool:
         # a = d and c = e (mod 2) make every value of F an integer
         if (a - F.d) % 2 or (F.c - F.e) % 2:
             return False
-        D = F.b * F.b - a * F.c
+        completion = square_completion(F)
+        D, r = completion.D, completion.r
         if witness.D != D or witness.ell != 8 * a:
             return False
         # p is an odd prime, p does not divide 8a and (D/p) = -1, so p is
@@ -321,7 +313,6 @@ def _verify(F: QuadPoly2, certificate: Certificate) -> bool:
         # 8aD F = D u^2 - v^2 + r as polynomials: both sides have degree 2,
         # so agreeing on the six points with x + y <= 2 proves it.
         lincross = F.b * F.d - a * F.e
-        r = lincross * lincross - D * F.d * F.d + 8 * a * D * F.f
         for x, y in _UNISOLVENT_POINTS:
             u = 2 * a * x + 2 * F.b * y + F.d
             v = 2 * D * y + lincross
@@ -330,7 +321,7 @@ def _verify(F: QuadPoly2, certificate: Certificate) -> bool:
         if (8 * a * D * s - r) % p != 0:
             return False
         # the one attainable lift of s mod p^2 must not be the claimed class
-        s0 = r * pow(8 * a * D % (p * p), -1, p * p) % (p * p)
+        s0 = _attainable_lift(8 * a * D, r, p)
         return (s + p - s0) % (p * p) != 0
 
     if isinstance(certificate, StructuralFail):
@@ -470,15 +461,16 @@ def search_quadratics(
     and gap-free up to value_bound) before reporting it; a match the
     brute force rejects raises CrossCheckFailed.  Results are sorted by
     coefficient tuple.  Within one call, candidates with the same
-    D = b^2 - ac and a share their ModularGap witness primes, each found
-    once; nothing is kept between calls.
+    D = b^2 - ac and a share their ModularGap witness primes through one
+    memo of nonresidue_prime, so each is found once; nothing is kept
+    between calls.
     """
     from .bruteforce import verify_quadratic_packing
 
     if coeff_bound < 0:
         raise ValueError("coefficient bound must be nonnegative")
     B = coeff_bound
-    primes: _WitnessPrimes = {}
+    witness_prime = functools.cache(nonresidue_prime)
     confirmed: list[tuple[QuadPoly2, Certificate]] = []
     for a in range(0, B + 1):
         for b in range(-B, B + 1):
@@ -493,7 +485,7 @@ def search_quadratics(
                             continue
                         for f in range(0, B + 1):
                             F = QuadPoly2(a, b, c, d, e, f)
-                            cert = _classify(F, max_diagonal=600, primes=primes)
+                            cert = _classify(F, witness_prime)
                             if not isinstance(cert, CantorMatch):
                                 continue
                             verdict = verify_quadratic_packing(

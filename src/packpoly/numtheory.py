@@ -109,12 +109,6 @@ class SquareDecomposition:
     m: int
     odd_primes: tuple[int, ...]
 
-    def reassemble(self) -> int:
-        value = (-1) ** self.alpha * 2**self.beta * self.m * self.m
-        for q in self.odd_primes:
-            value *= q
-        return value
-
 
 # The odd primes below _SMALL_LIMIT are sieved on their own as the first
 # run of trial division, so a cofactor that they finish never builds the

@@ -245,8 +245,10 @@ def document_from_json(text: str) -> tuple[Subject, Certificate]:
             raise ValueError("document must be a JSON object")
         if node.get("format") != FORMAT:
             raise ValueError(f"unknown document format {node.get('format')!r}")
-        if node.get("version") != VERSION:
-            raise ValueError(f"unsupported document version {node.get('version')!r}")
+        version = node.get("version")
+        # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+        if type(version) is not int or version != VERSION:
+            raise ValueError(f"unsupported document version {version!r}")
         return decode_subject(node.get("subject")), decode_certificate(
             node.get("certificate")
         )

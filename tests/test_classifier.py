@@ -1,6 +1,7 @@
 """Decision pipeline: frozen certificates, soundness sweeps, and the linear refuter."""
 
 import dataclasses
+import functools
 import random
 import sys
 import time
@@ -104,8 +105,10 @@ class TestKnownClassifications:
             classify(QuadPoly2(0, 0, 0, 2, 4, 1))
 
     def test_bounded_search_reports_exhaustion(self):
-        with pytest.raises(SearchExhausted):
-            classify(QuadPoly2(1, 1, 1, 1, 5, 0), max_diagonal=1)
+        # square D = 0 and no witness on the first 601 diagonals
+        with pytest.raises(SearchExhausted) as info:
+            classify(QuadPoly2(1, 1, 1, 10001, 3, 5000))
+        assert str(info.value) == "no collision or certified gap within 600 diagonals"
 
 
 class TestNoFalseMatch:
@@ -444,14 +447,28 @@ def counting_nonresidue_prime(monkeypatch):
     return calls
 
 
+def recording_witness_source():
+    """nonresidue_prime as a witness source, logging ((D, ell, floor), witness)."""
+    log = []
+
+    def source(D, ell, floor):
+        witness = numtheory.nonresidue_prime(D, ell, exceed=floor)
+        log.append(((D, ell, floor), witness))
+        return witness
+
+    return source, log
+
+
 class TestWitnessPrimeCache:
     def test_shared_cache_changes_no_certificate(self):
-        primes = {}
+        source, log = recording_witness_source()
+        shared = functools.cache(source)
         for F in sweep(3):
-            cert = _classify(F, max_diagonal=600, primes=primes)
+            cert = _classify(F, shared)
             assert cert == classify(F), F
         # retry primes, found above a previous p, are cached as well
-        assert any(floor is not None for _, _, floor in primes)
+        assert any(floor is not None for (_, _, floor), _ in log)
+        assert len({key for key, _ in log}) == len(log)
 
     def test_search_finds_each_witness_prime_once(self, monkeypatch):
         calls = counting_nonresidue_prime(monkeypatch)
@@ -467,14 +484,13 @@ class TestWitnessPrimeCache:
         assert classify(F) == classify(F)
         assert len(calls) == 2
 
-    def test_unfactored_d_gets_a_scanned_witness_cached_under_its_key(self):
+    def test_unfactored_d_gets_a_scanned_witness_from_one_call(self):
         F = QuadPoly2(1000003, 0, 1000033, 1, 1, 0)
         key = (-1000003 * 1000033, 8 * 1000003, None)
-        primes = {}
-        cert = _classify(F, max_diagonal=600, primes=primes)
+        source, log = recording_witness_source()
+        cert = _classify(F, source)
         assert isinstance(cert, ModularGap)
-        assert list(primes) == [key]
-        assert primes[key] == cert.witness
+        assert log == [(key, cert.witness)]
         assert verify_certificate(F, cert)
 
     def test_unfactored_retries_factor_again_and_take_the_scan(self, monkeypatch):
@@ -487,13 +503,13 @@ class TestWitnessPrimeCache:
         monkeypatch.setattr(numtheory, "square_decompose", too_hard)
         # D = -2: the scan's first prime, 13, is the lift's own class
         F = QuadPoly2(1, -1, 3, -3, -1, 0)
-        primes = {}
-        cert = _classify(F, max_diagonal=600, primes=primes)
+        source, log = recording_witness_source()
+        cert = _classify(F, source)
         assert calls == [-2, -2]  # one factoring attempt per witness prime
-        assert {key: w.p for key, w in primes.items()} == {
-            (-2, 8, None): 13,
-            (-2, 8, 13): 23,
-        }
+        assert [(key, w.p) for key, w in log] == [
+            ((-2, 8, None), 13),
+            ((-2, 8, 13), 23),
+        ]
         assert cert.witness.p == 23
         assert verify_certificate(F, cert)
 

@@ -123,6 +123,16 @@ class TestClassifyCommand:
         )
         assert (code, out.splitlines()[0], err) == (1, "ModularGap", "")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_exhausted_search_is_inconclusive(self, capsys, json_flag):
+        coeffs = ("1", "1", "1", "10001", "3", "5000")
+        code, out, err = run_cli(capsys, "classify", *json_flag, *coeffs)
+        assert (code, out, err) == (
+            3,
+            "",
+            "inconclusive: no collision or certified gap within 600 diagonals\n",
+        )
+
     def test_b4_box_output_is_byte_identical(self, capsys):
         # SHA-256 over the 23,680 B=4 candidates (search_quadratics' order)
         # of each exit code and newline, then the `classify --json` stdout;
@@ -177,6 +187,16 @@ class TestCertificatePipeline:
             code, out, _ = run_cli(capsys, "verify-cert", "-")
             assert code == 1
             assert out.startswith("invalid")
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_non_integer_version_reports_invalid(self, capsys, monkeypatch, version):
+        _, text = self.classify_json(capsys, "1", "0", "1", "1", "1", "0")
+        assert '"version": 1' in text
+        tampered = text.replace('"version": 1', f'"version": {version}')
+        monkeypatch.setattr(sys, "stdin", io.StringIO(tampered))
+        code, out, _ = run_cli(capsys, "verify-cert", "-")
+        assert code == 1
+        assert out.startswith("invalid: unsupported document version")
 
     def test_malformed_document_reports_invalid(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"format": "nope"}'))

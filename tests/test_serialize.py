@@ -158,6 +158,14 @@ class TestStrictDecoding:
         with pytest.raises(ValueError):
             document_from_json(text)
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"', "null"])
+    def test_version_must_be_the_integer_one(self, version):
+        good = self.good_text()
+        assert '"version": 1' in good
+        text = good.replace('"version": 1', f'"version": {version}')
+        with pytest.raises(ValueError, match="^unsupported document version "):
+            document_from_json(text)
+
     def test_unknown_certificate_kind_rejected(self):
         text = self.good_text().replace('"kind": "gap"', '"kind": "mystery"')
         with pytest.raises(ValueError):
