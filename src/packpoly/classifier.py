@@ -463,12 +463,20 @@ def search_quadratics(
     coefficient tuple.  Within one call, candidates with the same
     D = b^2 - ac and a share their ModularGap witness primes through one
     memo of nonresidue_prime, so each is found once; nothing is kept
-    between calls.
+    between calls.  A negative bound raises ValueError before any
+    candidate is classified.
     """
     from .bruteforce import verify_quadratic_packing
 
-    if coeff_bound < 0:
-        raise ValueError("coefficient bound must be nonnegative")
+    for name, bound in (
+        ("coefficient", coeff_bound),
+        ("region", region_bound),
+        ("value", value_bound),
+    ):
+        if bound < 0:
+            raise ValueError(
+                f"{name} bound must be nonnegative, got {to_decimal(bound)}"
+            )
     B = coeff_bound
     witness_prime = functools.cache(nonresidue_prime)
     confirmed: list[tuple[QuadPoly2, Certificate]] = []

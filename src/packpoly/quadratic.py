@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .decimals import to_decimal
 from .errors import InvalidM, OddNumerator
@@ -213,15 +214,16 @@ def definiteness_witness(F: QuadPoly2) -> tuple[Point2, int] | None:
 # complete-the-square identity
 
 
-@dataclass(frozen=True)
-class SquareCompletion:
+class SquareCompletion(NamedTuple):
     """Data for the identity 8aD * F(x,y) = D u(x,y)^2 - v(y)^2 + r.
 
     u(x, y) = 2a x + 2b y + d and v(y) = 2D y + (bd - ae), with
     D = b^2 - ac and r = (bd - ae)^2 - D d^2 + 8aDf.  The identity holds
     as polynomials in x and y for every integer a..f, including the
     degenerate cases a = 0 and D = 0.  Only D and r are kept: they are
-    all the modular refutation reads.
+    all the modular refutation reads.  A named tuple, not a frozen
+    dataclass: it is built once per ModularGap classification and
+    verification, and a tuple is the cheaper to build.
     """
 
     D: int
@@ -233,7 +235,7 @@ def square_completion(F: QuadPoly2) -> SquareCompletion:
     D = b * b - a * c
     lincross = b * d - a * e
     r = lincross * lincross - D * d * d + 8 * a * D * f
-    return SquareCompletion(D=D, r=r)
+    return SquareCompletion(D, r)
 
 
 # ---------------------------------------------------------------------------

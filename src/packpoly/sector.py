@@ -22,19 +22,16 @@ finds the segment with an integer square root and reads y off the
 offset n - B(q), for n of any size.
 
 Column x of the sector holds the points (x, 0), ..., (x, floor(rx/s)).
-SectorPrefix is the first `count` points, column by column, held as
-the column heights alone: it yields a point only when asked for one,
-and evaluates a polynomial over the prefix one column at a time.
+The first `count` points, column by column, are walked as column
+heights alone: sector_enumerate lists them, and
+bruteforce.verify_sector_packing reads only the column where the walk
+stops, since the segments above already prove the prefix packs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
 from math import gcd, isqrt
-from operator import index
 from typing import Literal
 
 from .decimals import to_decimal
@@ -105,36 +102,17 @@ def _require_which(which: str) -> None:
         raise ValueError(f"which must be 'F' or 'G', got {which!r}")
 
 
-def _segment_values(
-    spec: SectorSpec, which: WhichPolynomial, x: int, ys: range
-) -> list[int]:
-    """The chosen polynomial at (x, y) for each y in ys, in segment form.
-
-    With q = x - dy, that is B(q) + y = q(rq + 2 - r)/2 + y for the
-    lower polynomial and B(q) + rq - y = q(rq + r + 2)/2 - y for the
-    upper one, B inlined: a call per point would cost more than its
-    arithmetic.  which must already be checked, and the points must lie
-    in the sector; they are not tested, and outside it the result is
-    meaningless.
-    """
-    r, d = spec.r, spec.d
-    if which == "F":
-        c = 2 - r
-        return [(q := x - d * y) * (r * q + c) // 2 + y for y in ys]
-    c = r + 2
-    return [(q := x - d * y) * (r * q + c) // 2 - y for y in ys]
-
-
 def sector_F(spec: SectorSpec, x: int, y: int) -> int:
     """The lower packing polynomial, read off segment q = x - dy: B(q) + y."""
     _require_member(spec, x, y)
-    return _segment_values(spec, "F", x, range(y, y + 1))[0]
+    return _segment_base(spec, x - spec.d * y) + y
 
 
 def sector_G(spec: SectorSpec, x: int, y: int) -> int:
     """The upper packing polynomial, read off segment q = x - dy: B(q) + rq - y."""
     _require_member(spec, x, y)
-    return _segment_values(spec, "G", x, range(y, y + 1))[0]
+    q = x - spec.d * y
+    return _segment_base(spec, q) + spec.r * q - y
 
 
 def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) -> int:
@@ -142,64 +120,26 @@ def sector_evaluate(spec: SectorSpec, which: WhichPolynomial, x: int, y: int) ->
     return sector_F(spec, x, y) if which == "F" else sector_G(spec, x, y)
 
 
-class SectorPrefix(Sequence[SectorPoint]):
-    """The first `count` sector points, ascending x then ascending y, as
-    a read-only sequence.
-
-    Only the column heights and the index at which each column starts
-    are stored; a point is built when it is indexed or iterated over.
-    """
-
-    __slots__ = ("spec", "_heights", "_starts")
-
-    def __init__(self, spec: SectorSpec, count: int) -> None:
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {to_decimal(count)}")
-        r, s = spec.r, spec.s
-        heights: list[int] = []
-        x = total = 0
-        while total < count:
-            height = min(r * x // s + 1, count - total)
-            heights.append(height)
-            total += height
-            x += 1
-        self.spec = spec
-        self._heights = heights
-        # _starts[x] is the index of (x, 0); the last entry is count
-        self._starts = list(accumulate(heights, initial=0))
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __getitem__(self, i: int) -> SectorPoint:  # type: ignore[override]
-        i = index(i)
-        n = self._starts[-1]
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("sector prefix index out of range")
-        x = bisect_right(self._starts, i) - 1
-        return x, i - self._starts[x]
-
-    def __iter__(self) -> Iterator[SectorPoint]:
-        return chain.from_iterable(
-            zip(repeat(x), range(h)) for x, h in enumerate(self._heights)
-        )
-
-    def values(self, which: WhichPolynomial) -> list[int]:
-        """The chosen polynomial at each point, in point order, one
-        column at a time.  No membership test is needed: every point of
-        the prefix lies in the sector."""
-        _require_which(which)
-        out: list[int] = []
-        for x, h in enumerate(self._heights):
-            out += _segment_values(self.spec, which, x, range(h))
-        return out
+def _last_column(spec: SectorSpec, count: int) -> tuple[int, int]:
+    """(x, h) such that the first `count` sector points, column by
+    column, fill columns 0, ..., x - 1 and the first h points of column
+    x; columns are walked by height, floor(rx/s) + 1, not by point."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {to_decimal(count)}")
+    r, s = spec.r, spec.s
+    x = 0
+    while (height := r * x // s + 1) < count:
+        count -= height
+        x += 1
+    return x, count
 
 
 def sector_enumerate(spec: SectorSpec, count: int) -> list[SectorPoint]:
     """The first `count` sector points, ascending x then ascending y."""
-    return list(SectorPrefix(spec, count))
+    x_cut, height = _last_column(spec, count)
+    r, s = spec.r, spec.s
+    points = [(x, y) for x in range(x_cut) for y in range(r * x // s + 1)]
+    return points + [(x_cut, y) for y in range(height)]
 
 
 def sector_tail_min(spec: SectorSpec, x_from: int) -> int:

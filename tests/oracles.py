@@ -14,7 +14,6 @@ from packpoly import (
     SectorSpec,
     SquareDecomposition,
     diagonal_tail_min,
-    sector_evaluate,
     sector_tail_min,
     validate,
 )
@@ -58,7 +57,7 @@ def sector_prefix_frontier(spec: SectorSpec, which: str, count: int) -> int:
     bound = sector_tail_min(spec, x_cut + 1)
     for x, y in sector_column(spec, x_cut):
         if y > y_cut:
-            bound = min(bound, sector_evaluate(spec, which, x, y))
+            bound = min(bound, sector_value_by_numerator(spec, which, x, y))
     return bound
 
 

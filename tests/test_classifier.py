@@ -414,9 +414,22 @@ class TestExhaustiveSearch:
         tuples = [F.as_tuple() for F, _ in search_quadratics(5, 60, 500)]
         assert tuples == [(1, 1, 1, 1, 3, 0), (1, 1, 1, 3, 1, 0)]
 
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            search_quadratics(-1, 10, 10)
+    @pytest.mark.parametrize(
+        "bounds,name",
+        [
+            ((-1, 10, 10), "coefficient"),
+            ((4, -5, 500), "region"),
+            ((2, -5, -7), "region"),
+            ((4, 60, -1), "value"),
+        ],
+    )
+    def test_negative_bound_rejected(self, bounds, name, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no candidate may be classified")
+
+        monkeypatch.setattr(classifier, "_classify", forbidden)
+        with pytest.raises(ValueError, match=f"{name} bound must be nonnegative"):
+            search_quadratics(*bounds)
 
     def test_disagreement_with_the_brute_force_is_an_internal_error(
         self, monkeypatch, capsys

@@ -385,6 +385,12 @@ class TestSectorCommands:
         assert out.splitlines() == [out.strip()]
         assert out.startswith("G: injective")
 
+    def test_verify_needs_a_point(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sector", "verify", "--r", "1", "--s", "2", "--points", "0"
+        )
+        assert (code, out, err) == (2, "", "error: need at least one point, got 0\n")
+
 
 class TestSearchCommand:
     def test_small_bound_finds_nothing(self, capsys):
@@ -393,6 +399,14 @@ class TestSearchCommand:
             "search-quadratics", "--coeff-bound", "1", "--box", "40", "--values", "200",
         )
         assert (code, out.strip()) == (0, "")
+
+    def test_negative_box_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "search-quadratics", "--coeff-bound", "4", "--box", "-5", "--values", "500",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: region bound must be nonnegative, got -5\n"
 
     def test_bound_three_finds_both(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Finite-prefix packing verification: frontier logic, verdicts, adapters."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,6 @@ from packpoly import (
 )
 from packpoly import bruteforce as bruteforce_module
 from packpoly import sector as sector_module
-from packpoly.sector import SectorPrefix
 
 C1 = QuadPoly2(1, 1, 1, 1, 3, 0)
 C2 = QuadPoly2(1, 1, 1, 3, 1, 0)
@@ -194,6 +194,11 @@ class TestTypedErrorsPastTheIntStrLimit:
         with pytest.raises(ValueError, match="nonnegative"):
             verify_packing_bruteforce([], [], -self.BIG, 1)
 
+    def test_negative_box_bound(self):
+        for box_bound in (-1, -self.BIG):
+            with pytest.raises(ValueError, match="box bound must be nonnegative"):
+                verify_quadratic_packing(C1, box_bound, 10)
+
 
 class TestSectorPacking:
     def test_reference_spec_packs(self):
@@ -239,36 +244,32 @@ class TestSectorPacking:
             monkeypatch.setattr(
                 module, "sector_evaluate", counted(module.sector_evaluate)
             )
-        monkeypatch.setattr(SectorPrefix, "__iter__", forbidden)
         spec = SectorSpec(r, s)
         for which in ("F", "G"):
             for count in (1, 2, 3, 10, 57, 500, 3000):
                 evaluations = 0
                 verify_sector_packing(spec, which, count)
-                # at most the cut column's top point; the prefix is
-                # evaluated column by column
+                # at most the cut column's top point; the prefix itself
+                # is never evaluated
                 assert evaluations <= 1
 
-    @pytest.mark.parametrize("r,s", SLOPES)
-    def test_prefix_values_match_numerators(self, r, s):
-        spec = SectorSpec(r, s)
-        points = sector_prefix(spec, 3000)
-        prefix = SectorPrefix(spec, 3000)
-        for which in ("F", "G"):
-            assert prefix.values(which) == [
-                sector_value_by_numerator(spec, which, x, y) for x, y in points
-            ], which
-
-    def test_prefix_values_reject_unknown_polynomial(self):
-        for count in (0, 1, 10):
-            with pytest.raises(ValueError, match="which must be 'F' or 'G', got 'H'"):
-                SectorPrefix(SectorSpec(1, 2), count).values("H")
+    @pytest.mark.parametrize("which", ["F", "G"])
+    def test_trillion_point_prefix(self, which):
+        # slope 1/2: columns 2m and 2m + 1 hold m + 1 points, so the
+        # first 10^12 = 999999 * 10^6 + 10^6 points fill column 1999998
+        # to its top.  Columns from 1999999 on start at segment 10^6,
+        # whose base is 10^6 (10^6 + 1)/2.
+        start = time.monotonic()
+        assert verify_sector_packing(SectorSpec(1, 2), which, 10**12) == (
+            PackingVerdict(True, None, 500000499999, (), 500000500000)
+        )
+        assert time.monotonic() - start < 10.0
 
     def test_unknown_polynomial_rejected_before_the_walk(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the columns must not be walked")
 
-        monkeypatch.setattr(bruteforce_module, "SectorPrefix", forbidden)
+        monkeypatch.setattr(bruteforce_module, "_last_column", forbidden)
         with pytest.raises(ValueError, match="which must be 'F' or 'G', got 'H'"):
             verify_sector_packing(SectorSpec(1, 2), "H", 10**9)
 
@@ -281,7 +282,7 @@ def dict_scan_verdict(points, values, value_bound, frontier):
 
 class TestSectorPrefixCollisions:
     """A sector polynomial never collides, so planted values are what
-    reach the collision path through the view's indexing."""
+    reach the harness's collision and gap paths on a sector prefix."""
 
     @pytest.mark.parametrize("r,s", SLOPES)
     def test_planted_repeats_and_gaps(self, r, s):
@@ -289,9 +290,8 @@ class TestSectorPrefixCollisions:
         rng = random.Random(r * 100 + s)
         for which in ("F", "G"):
             for count in (2, 3, 57, 500):
-                prefix = SectorPrefix(spec, count)
-                points = list(prefix)
-                clean = prefix.values(which)
+                points = sector_prefix(spec, count)
+                clean = [sector_value_by_numerator(spec, which, *p) for p in points]
                 bound = max(clean)
                 for _ in range(20):
                     values = list(clean)
@@ -305,26 +305,23 @@ class TestSectorPrefixCollisions:
                     expected = dict_scan_verdict(points, values, bound, bound + 1)
                     assert not expected.injective_on_box
                     assert expected.gaps
-                    for region in (prefix, points):
-                        assert verify_packing_bruteforce(
-                            region, values, bound, bound + 1
-                        ) == expected, (which, count, j, k)
+                    assert verify_packing_bruteforce(
+                        points, values, bound, bound + 1
+                    ) == expected, (which, count, j, k)
 
     @pytest.mark.parametrize("r,s", SLOPES)
     def test_planted_gap_alone(self, r, s):
         spec = SectorSpec(r, s)
         for which in ("F", "G"):
-            prefix = SectorPrefix(spec, 500)
-            points = list(prefix)
-            values = prefix.values(which)
+            points = sector_prefix(spec, 500)
+            values = [sector_value_by_numerator(spec, which, *p) for p in points]
             bound = max(values)
             values[-7] = bound + 10  # past the bound: a gap, no repeat
             expected = dict_scan_verdict(points, values, bound, bound + 11)
             assert expected.injective_on_box and expected.gaps
-            for region in (prefix, points):
-                assert verify_packing_bruteforce(
-                    region, values, bound, bound + 11
-                ) == expected
+            assert verify_packing_bruteforce(
+                points, values, bound, bound + 11
+            ) == expected
 
 
 class TestSectorPackingMatchesDictScan:
@@ -335,7 +332,30 @@ class TestSectorPackingMatchesDictScan:
         count=st.integers(1, 5000),
     )
     def test_verdicts_agree(self, slope, which, count):
-        spec = SectorSpec(*slope)
+        self.assert_agree(SectorSpec(*slope), which, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(1, 60),
+        d=st.integers(1, 30),
+        which=st.sampled_from(["F", "G"]),
+        count=st.integers(1, 2000),
+    )
+    def test_verdicts_agree_on_any_slope(self, r, d, which, count):
+        self.assert_agree(SectorSpec(r, r * d + 1), which, count)
+
+    @pytest.mark.parametrize("which", ["F", "G"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_seven_hundred_digit_slope(self, d, which):
+        # s = r*d + 1 with r of 700 digits, so values run to 700 digits,
+        # past the least int-str limit
+        r = 7 * 10**699 + 3
+        spec = SectorSpec(r, r * d + 1)
+        for count in range(1, 201):
+            self.assert_agree(spec, which, count)
+
+    @staticmethod
+    def assert_agree(spec, which, count):
         frontier = sector_prefix_frontier(spec, which, count)
         expected = verify_packing_by_dict_scan(
             lambda pt: sector_value_by_numerator(spec, which, *pt),
@@ -343,4 +363,5 @@ class TestSectorPackingMatchesDictScan:
             frontier - 1,
             frontier,
         )
+        assert expected.is_packing_prefix
         assert verify_sector_packing(spec, which, count) == expected

@@ -20,7 +20,6 @@ from packpoly import (
     sector_unpack,
 )
 from packpoly import sector as sector_module
-from packpoly.sector import SectorPrefix
 
 ACCEPTED_SPECS = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (3, 4)]
 # slopes with r >= 3 and d >= 2, which ACCEPTED_SPECS lacks
@@ -191,19 +190,9 @@ class TestSectorPrefix:
     def test_matches_column_oracle(self, r, s):
         spec = SectorSpec(r, s)
         for count in [*range(401), 3000]:
-            expected = sector_prefix(spec, count)
-            view = SectorPrefix(spec, count)
-            assert len(view) == count
-            assert list(view) == expected
-            assert [view[i] for i in range(count)] == expected
-            assert [view[i] for i in range(-count, 0)] == expected
-            for i in (count, -count - 1):
-                with pytest.raises(IndexError):
-                    view[i]
+            assert sector_enumerate(spec, count) == sector_prefix(spec, count)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            SectorPrefix(SectorSpec(1, 2), -1)
         with pytest.raises(ValueError, match="nonnegative"):
             sector_enumerate(SectorSpec(1, 2), -1)
 
